@@ -3,6 +3,8 @@ package tea_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -158,5 +160,55 @@ func TestReportErrorRows(t *testing.T) {
 	}
 	if got := clean.ErrorRows(); got != 0 {
 		t.Errorf("clean ErrorRows = %d, want 0", got)
+	}
+}
+
+// TestRegistryGoldens pins every registered experiment's text, JSON and CSV
+// rendering through the public path (RunExperiment + Report.Write), on a
+// deterministic stub simulation over two workloads. Regenerate with
+// `go test ./tea -run TestRegistryGoldens -update`.
+func TestRegistryGoldens(t *testing.T) {
+	formats := []struct {
+		ext string
+		f   tea.Format
+	}{
+		{"txt", tea.FormatText},
+		{"json", tea.FormatJSON},
+		{"csv", tea.FormatCSV},
+	}
+	for _, e := range tea.Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			rep, err := tea.RunExperiment(context.Background(), e.Name, tea.ExpOptions{
+				Workloads:       []string{"bfs", "mcf"},
+				MaxInstructions: 10_000,
+				Engine:          tea.NewEngine(1, tea.WithRunFunc(stubRun)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ff := range formats {
+				var buf bytes.Buffer
+				if err := rep.Write(&buf, ff.f); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join("testdata", "registry", e.Name+"."+ff.ext)
+				if *update {
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run `go test ./tea -run TestRegistryGoldens -update` to create)", err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("%s rendering changed; got:\n%s\nwant:\n%s", path, buf.Bytes(), want)
+				}
+			}
+		})
 	}
 }
