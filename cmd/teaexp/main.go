@@ -267,7 +267,6 @@ func realMain() int {
 		Engine:          eng,
 		Intervals:       *ivals,
 		IntervalPeriod:  *ivPeriod,
-		Ctx:             ctx,
 		Partial:         *partial,
 		Paranoia:        *paranoia,
 		Quick:           *quick,

@@ -103,49 +103,3 @@ func TestRunIntervalsPopulated(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultExpOptions(t *testing.T) {
-	o := tea.DefaultExpOptions()
-	if o.MaxInstructions != 1_000_000 || o.Scale != 1 || len(o.Workloads) != 17 {
-		t.Fatalf("bad defaults: %+v", o)
-	}
-	eng := tea.NewEngine(2)
-	o = tea.DefaultExpOptions(
-		tea.WithInstructions(5_000),
-		tea.WithScale(0),
-		tea.WithWorkloads("bfs", "xz"),
-		tea.WithWorkers(3),
-		tea.WithEngine(eng),
-		tea.WithIntervals(2_000),
-	)
-	if o.MaxInstructions != 5_000 || o.Scale != 0 || o.Workers != 3 || o.Engine != eng {
-		t.Fatalf("options not applied: %+v", o)
-	}
-	if !reflect.DeepEqual(o.Workloads, []string{"bfs", "xz"}) {
-		t.Fatalf("workloads = %v", o.Workloads)
-	}
-	if !o.Intervals || o.IntervalPeriod != 2_000 {
-		t.Fatalf("intervals option not applied: %+v", o)
-	}
-}
-
-// TestOptionsConstructorMatchesLiteral: the two ways of building options
-// must drive experiments identically.
-func TestOptionsConstructorMatchesLiteral(t *testing.T) {
-	eng := tea.NewEngine(2)
-	lit := tea.ExpOptions{MaxInstructions: 30_000, Scale: 1,
-		Workloads: []string{"bfs"}, Engine: eng}
-	ctor := tea.DefaultExpOptions(tea.WithInstructions(30_000),
-		tea.WithWorkloads("bfs"), tea.WithEngine(eng))
-	a, err := tea.Fig6(lit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tea.Fig6(ctor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("literal and constructor options disagree:\n%+v\n%+v", a, b)
-	}
-}

@@ -236,9 +236,6 @@ func NewEngine(workers int, opts ...EngineOption) *Engine {
 	return e
 }
 
-// Workers reports the engine's worker-pool bound.
-func (e *Engine) Workers() int { return e.workers }
-
 // MemoStats reports the engine's result-cache state: how many distinct
 // machine points it holds (simulated, in flight, or seeded), how many jobs
 // were served from an existing entry instead of re-simulating, and how many

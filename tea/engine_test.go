@@ -45,7 +45,7 @@ func TestFig8BaselineMemoized(t *testing.T) {
 	e, snapshot := countingEngine(4)
 	wls := []string{"bfs", "mcf", "gcc"}
 	o := ExpOptions{MaxInstructions: 1000, Workloads: wls, Engine: e}
-	if _, err := Fig8(o); err != nil {
+	if _, err := fig8(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	counts := snapshot()
@@ -62,7 +62,7 @@ func TestFig8BaselineMemoized(t *testing.T) {
 	}
 
 	// A further experiment on the same engine and budget reuses the cache.
-	if _, err := Fig5(o); err != nil {
+	if _, err := fig5(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	counts = snapshot()
@@ -74,7 +74,7 @@ func TestFig8BaselineMemoized(t *testing.T) {
 	}
 	// A different budget is a different cell and must re-simulate.
 	o2 := ExpOptions{MaxInstructions: 2000, Workloads: wls, Engine: e}
-	if _, err := Fig5(o2); err != nil {
+	if _, err := fig5(context.Background(), o2); err != nil {
 		t.Fatal(err)
 	}
 	counts = snapshot()
@@ -206,27 +206,27 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 		return ExpOptions{MaxInstructions: 25_000, Scale: 1, Workloads: wls, Workers: workers}
 	}
 
-	seq5, err := Fig5(optsFor(1))
+	seq5, err := fig5(context.Background(), optsFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par5, err := Fig5(optsFor(8))
+	par5, err := fig5(context.Background(), optsFor(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq5, par5) {
-		t.Errorf("Fig5 rows differ between Workers=1 and Workers=8:\nseq: %+v\npar: %+v", seq5, par5)
+	if !reflect.DeepEqual(seq5.Rows(), par5.Rows()) {
+		t.Errorf("Fig5 rows differ between Workers=1 and Workers=8:\nseq: %+v\npar: %+v", seq5.Rows(), par5.Rows())
 	}
 
-	seq10, err := Fig10(optsFor(1))
+	seq10, err := fig10(context.Background(), optsFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par10, err := Fig10(optsFor(8))
+	par10, err := fig10(context.Background(), optsFor(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq10, par10) {
-		t.Errorf("Fig10 rows differ between Workers=1 and Workers=8:\nseq: %+v\npar: %+v", seq10, par10)
+	if !reflect.DeepEqual(seq10.Rows(), par10.Rows()) {
+		t.Errorf("Fig10 rows differ between Workers=1 and Workers=8:\nseq: %+v\npar: %+v", seq10.Rows(), par10.Rows())
 	}
 }

@@ -3,8 +3,6 @@ package tea
 import (
 	"context"
 	"math"
-
-	"teasim/tea/spec"
 )
 
 // Geomean returns the geometric mean of xs (1.0 for empty input).
@@ -75,24 +73,42 @@ func runAll(ctx context.Context, o ExpOptions, cfg Config) ([]Result, error) {
 	return o.mapJobs(ctx, jobs)
 }
 
-// Fig5 reproduces Fig. 5: per-benchmark performance of the on-core TEA
+// speedupExperiment measures every workload under mode (adjusted by
+// modeCfg) against its baseline and renders the rows under title.
+func speedupExperiment(ctx context.Context, o ExpOptions, title string, mode Mode, modeCfg func(Config) Config) (*Report, error) {
+	rows, err := runSpeedups(ctx, o.fill(), mode, modeCfg)
+	if err != nil {
+		return nil, err
+	}
+	return speedupsReport(title, rows), nil
+}
+
+// resultExperiment runs every workload once under mode and renders the
+// results with render.
+func resultExperiment(ctx context.Context, o ExpOptions, mode Mode, render func([]Result) *Report) (*Report, error) {
+	o = o.fill()
+	rows, err := runAll(ctx, o, o.cfg(mode))
+	if err != nil {
+		return nil, err
+	}
+	return render(rows), nil
+}
+
+// fig5 reproduces Fig. 5: per-benchmark performance of the on-core TEA
 // thread over the baseline (paper geomean: +10.1%).
-func Fig5(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEA, nil)
+func fig5(ctx context.Context, o ExpOptions) (*Report, error) {
+	return speedupExperiment(ctx, o, titleFig5, ModeTEA, nil)
 }
 
-// Fig6 reproduces Fig. 6: total branch MPKI per benchmark on the baseline.
-func Fig6(o ExpOptions) ([]Result, error) {
-	o = o.fill()
-	return runAll(o.ctx(), o, o.cfg(ModeBaseline))
+// fig6 reproduces Fig. 6: total branch MPKI per benchmark on the baseline.
+func fig6(ctx context.Context, o ExpOptions) (*Report, error) {
+	return resultExperiment(ctx, o, ModeBaseline, fig6Report)
 }
 
-// Fig7 reproduces Fig. 7: the breakdown of retired mispredictions into
+// fig7 reproduces Fig. 7: the breakdown of retired mispredictions into
 // covered / late / incorrect / uncovered under the TEA thread.
-func Fig7(o ExpOptions) ([]Result, error) {
-	o = o.fill()
-	return runAll(o.ctx(), o, o.cfg(ModeTEA))
+func fig7(ctx context.Context, o ExpOptions) (*Report, error) {
+	return resultExperiment(ctx, o, ModeTEA, fig7Report)
 }
 
 // Fig8Row pairs the TEA and Branch Runahead speedups for one workload.
@@ -109,13 +125,12 @@ type Fig8Row struct {
 	Err string `json:"Err,omitempty"`
 }
 
-// Fig8 reproduces Fig. 8: TEA vs Branch Runahead, with the paper's
+// fig8 reproduces Fig. 8: TEA vs Branch Runahead, with the paper's
 // simple/complex control-flow split (paper: 10.1% vs 7.3% geomean). Both
 // halves share one engine, so each workload's baseline is simulated once
 // rather than once per mode.
-func Fig8(o ExpOptions) ([]Fig8Row, error) {
+func fig8(ctx context.Context, o ExpOptions) (*Report, error) {
 	o = o.fill()
-	ctx := o.ctx()
 	teaRows, err := runSpeedups(ctx, o, ModeTEA, nil)
 	if err != nil {
 		return nil, err
@@ -141,30 +156,27 @@ func Fig8(o ExpOptions) ([]Fig8Row, error) {
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return fig8Report(rows), nil
 }
 
-// Fig9 reproduces Fig. 9: the TEA thread on a dedicated execution engine
+// fig9 reproduces Fig. 9: the TEA thread on a dedicated execution engine
 // (paper: 12.3% vs 10.1% on-core).
-func Fig9(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEADedicated, nil)
+func fig9(ctx context.Context, o ExpOptions) (*Report, error) {
+	return speedupExperiment(ctx, o, titleFig9, ModeTEADedicated, nil)
 }
 
-// Fig9Big reproduces §V-D's second data point: the TEA thread on an
+// fig9Big reproduces §V-D's second data point: the TEA thread on an
 // execution engine as large as the main core's backend (paper: +12.8%,
 // "very little additional benefit" over the 16-unit engine).
-func Fig9Big(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEABigEngine, nil)
+func fig9Big(ctx context.Context, o ExpOptions) (*Report, error) {
+	return speedupExperiment(ctx, o, titleFig9Big, ModeTEABigEngine, nil)
 }
 
-// Wide16 reproduces §IV-H's comparison point: a true 16-wide frontend
+// wide16 reproduces §IV-H's comparison point: a true 16-wide frontend
 // without precomputation (paper: ~+2.8% for ~10% more area, versus the TEA
 // thread's +10.1% for ~3.5%).
-func Wide16(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeWide16, nil)
+func wide16(ctx context.Context, o ExpOptions) (*Report, error) {
+	return speedupExperiment(ctx, o, titleWide16, ModeWide16, nil)
 }
 
 // Fig10Config identifies one bar group of Fig. 10.
@@ -203,10 +215,10 @@ type Fig10Row struct {
 	Err string `json:"Err,omitempty"`
 }
 
-// Fig10 reproduces Fig. 10 (accuracy, coverage, timeliness ablations). The
+// fig10 reproduces Fig. 10 (accuracy, coverage, timeliness ablations). The
 // whole configuration × workload matrix is dispatched as one batch so every
 // cell can run in parallel.
-func Fig10(o ExpOptions) ([]Fig10Row, error) {
+func fig10(ctx context.Context, o ExpOptions) (*Report, error) {
 	o = o.fill()
 	fcs := Fig10Configs()
 	jobs := make([]Job, 0, len(fcs)*len(o.Workloads))
@@ -215,7 +227,7 @@ func Fig10(o ExpOptions) ([]Fig10Row, error) {
 			jobs = append(jobs, o.job(name, fc.Cfg(o.cfg(fc.Mode))))
 		}
 	}
-	res, err := o.mapJobs(o.ctx(), jobs)
+	res, err := o.mapJobs(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -234,37 +246,35 @@ func Fig10(o ExpOptions) ([]Fig10Row, error) {
 			})
 		}
 	}
-	return rows, nil
+	return fig10Report(rows), nil
 }
 
-// Table3 reproduces Table III: the extra dynamic uop footprint of the TEA
-// thread per benchmark (paper average: +31.9%).
-func Table3(o ExpOptions) ([]Result, error) {
-	return Fig7(o) // the same runs carry UopOverheadPct
+// table3 reproduces Table III: the extra dynamic uop footprint of the TEA
+// thread per benchmark (paper average: +31.9%). It runs the same cells as
+// fig7, which carry UopOverheadPct.
+func table3(ctx context.Context, o ExpOptions) (*Report, error) {
+	return resultExperiment(ctx, o, ModeTEA, table3Report)
 }
 
-// PrefetchOnly reproduces the §V-B aside: TEA with early resolution
+// prefetchOnly reproduces the §V-B aside: TEA with early resolution
 // disabled, isolating the data-prefetch side effect (paper: +1.2% overall).
-func PrefetchOnly(o ExpOptions) ([]SpeedupRow, error) {
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeTEA, func(c Config) Config {
+func prefetchOnly(ctx context.Context, o ExpOptions) (*Report, error) {
+	return speedupExperiment(ctx, o, titlePrefetchOnly, ModeTEA, func(c Config) Config {
 		c.DisableEarlyFlush = true
 		return c
 	})
 }
 
-// Custom measures a user-supplied machine point against the baseline, per
-// workload: the spec (nil = the baseline preset) with patches applied on
-// top, resolved and validated once up front so a bad -config or -set fails
-// before any simulation. This is the experiment behind `teaexp -config` /
-// `teaexp -set`.
-func Custom(machine *spec.MachineSpec, patches []string, o ExpOptions) ([]SpeedupRow, error) {
-	resolved, err := (Config{Spec: machine, Set: patches}).ResolvedSpec()
+// custom measures a user-supplied machine point (ExpOptions.Spec, nil = the
+// baseline preset, with ExpOptions.Set patches on top) against the
+// baseline, per workload. The point is resolved and validated once up
+// front, so a bad `teaexp -config` or `-set` fails before any simulation.
+func custom(ctx context.Context, o ExpOptions) (*Report, error) {
+	resolved, err := (Config{Spec: o.Spec, Set: o.Set}).ResolvedSpec()
 	if err != nil {
 		return nil, err
 	}
-	o = o.fill()
-	return runSpeedups(o.ctx(), o, ModeBaseline, func(c Config) Config {
+	return speedupExperiment(ctx, o, titleCustom, ModeBaseline, func(c Config) Config {
 		c.Spec = &resolved
 		return c
 	})

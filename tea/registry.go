@@ -10,10 +10,9 @@ import (
 // Experiment is one named entry of the experiment catalog: a runner plus the
 // metadata clients use to pick it. Every experiment takes the same inputs
 // (ExpOptions) and produces the same output shape (*Report), so callers —
-// teaexp, the serve daemon, tests — dispatch purely by name instead of
-// hard-coding Fig* function calls, and new experiments (companion shootouts,
-// generated-workload sweeps) become catalog entries rather than new CLI
-// switch arms.
+// teaexp, the serve daemon, tests — dispatch purely by name, and new
+// experiments (companion shootouts, generated-workload sweeps) become
+// catalog entries rather than new CLI switch arms.
 type Experiment struct {
 	// Name is the dispatch key ("fig5", "sens-blockcache", ...).
 	Name string
@@ -81,23 +80,24 @@ func LookupExperiment(name string) (Experiment, bool) {
 	return e, ok
 }
 
-// RunExperiment dispatches one experiment by name. ctx overrides o.Ctx (nil
-// = keep o.Ctx); the options otherwise scope the run exactly as they do for
-// the direct Fig* calls, so a report built here is byte-identical to one
-// rendered from the equivalent direct call.
+// RunExperiment dispatches one experiment by name, the one way to run an
+// experiment. ctx cancels it cooperatively (nil = context.Background()):
+// completed cells keep their results, in-flight cells finish, and the
+// experiment returns the context's error. Report.Write renders the outcome
+// and Report.Rows exposes its structured rows.
 func RunExperiment(ctx context.Context, name string, o ExpOptions) (*Report, error) {
 	e, ok := LookupExperiment(name)
 	if !ok {
 		return nil, fmt.Errorf("tea: unknown experiment %q (see tea.Experiments)", name)
 	}
-	if ctx != nil {
-		o.Ctx = ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return e.Run(o.ctx(), o)
+	return e.Run(ctx, o)
 }
 
-// Report titles for the speedup-style experiments (shared by teaexp and the
-// registry so the CLI and the daemon render identical bytes).
+// Report titles for the speedup-style experiments (shared by the runners and
+// their catalog entries).
 const (
 	titleFig5         = "Fig 5: TEA thread speedup over baseline (paper geomean +10.1%)"
 	titleFig9         = "Fig 9: TEA on a dedicated execution engine (paper geomean +12.3%)"
@@ -107,131 +107,74 @@ const (
 	titleCustom       = "Custom machine point vs baseline"
 )
 
-// speedupExp adapts a speedup-row experiment to the registry's runner shape.
-func speedupExp(title string, run func(ExpOptions) ([]SpeedupRow, error)) func(context.Context, ExpOptions) (*Report, error) {
-	return func(ctx context.Context, o ExpOptions) (*Report, error) {
-		o.Ctx = ctx
-		rows, err := run(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Report{speedupsReport(title, rows)}, nil
-	}
-}
-
-// resultExp adapts a Result-row experiment to the registry's runner shape.
-func resultExp(rep func([]Result) report, run func(ExpOptions) ([]Result, error)) func(context.Context, ExpOptions) (*Report, error) {
-	return func(ctx context.Context, o ExpOptions) (*Report, error) {
-		o.Ctx = ctx
-		rows, err := run(o)
-		if err != nil {
-			return nil, err
-		}
-		return &Report{rep(rows)}, nil
-	}
-}
-
-// sensExp adapts one sensitivity sweep to the registry's runner shape.
-func sensExp(p SensParam) Experiment {
-	return Experiment{
-		Name:        "sens-" + string(p),
-		Title:       fmt.Sprintf("Sensitivity: %s", p),
-		Description: fmt.Sprintf("structure-size sensitivity sweep over %s", p),
-		Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-			o.Ctx = ctx
-			rows, err := Sensitivity(p, nil, o)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{sensitivityReport(p, rows)}, nil
-		},
-	}
-}
-
 func init() {
 	for _, e := range []Experiment{
 		{
 			Name: "fig5", Title: titleFig5,
 			Description: "per-benchmark TEA-thread speedup over the baseline core",
-			Run:         speedupExp(titleFig5, Fig5),
+			Run:         fig5,
 		},
 		{
 			Name: "fig6", Title: "Fig 6: branch MPKI (baseline)",
 			Description: "total branch MPKI per benchmark on the baseline",
-			Run:         resultExp(fig6Report, Fig6),
+			Run:         fig6,
 		},
 		{
 			Name: "fig7", Title: "Fig 7: misprediction breakdown under TEA",
 			Description: "retired mispredictions split into covered/late/incorrect/uncovered",
-			Run:         resultExp(fig7Report, Fig7),
+			Run:         fig7,
 		},
 		{
 			Name: "fig8", Title: "Fig 8: TEA vs Branch Runahead",
 			Description: "TEA vs Branch Runahead with the simple/complex control-flow split",
-			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-				o.Ctx = ctx
-				rows, err := Fig8(o)
-				if err != nil {
-					return nil, err
-				}
-				return &Report{fig8Report(rows)}, nil
-			},
+			Run:         fig8,
 		},
 		{
 			Name: "fig9", Title: titleFig9,
 			Description: "TEA thread on a dedicated 16-unit execution engine",
-			Run:         speedupExp(titleFig9, Fig9),
+			Run:         fig9,
 		},
 		{
 			Name: "fig9big", Title: titleFig9Big,
 			Description: "TEA thread on an engine as large as the main core's backend",
-			Run:         speedupExp(titleFig9Big, Fig9Big),
+			Run:         fig9Big,
 		},
 		{
 			Name: "wide16", Title: titleWide16,
 			Description: "16-wide frontend baseline without precomputation",
-			Run:         speedupExp(titleWide16, Wide16),
+			Run:         wide16,
 		},
 		{
 			Name: "fig10", Title: "Fig 10: thread-construction ablations",
 			Description: "accuracy/coverage/timeliness across thread-construction ablations",
-			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-				o.Ctx = ctx
-				rows, err := Fig10(o)
-				if err != nil {
-					return nil, err
-				}
-				return &Report{fig10Report(rows)}, nil
-			},
+			Run:         fig10,
 		},
 		{
 			Name: "table3", Title: "Table III: extra dynamic uops fetched by the TEA thread",
 			Description: "extra dynamic uop footprint of the TEA thread per benchmark",
-			Run:         resultExp(table3Report, Table3),
+			Run:         table3,
 		},
 		{
 			Name: "prefetchonly", Title: titlePrefetchOnly,
 			Description: "TEA with early resolution disabled (data-prefetch effect only)",
-			Run:         speedupExp(titlePrefetchOnly, PrefetchOnly),
+			Run:         prefetchOnly,
 		},
 		{
 			Name: "custom", Title: titleCustom,
 			Description: "a user-supplied machine point (ExpOptions.Spec + Set patches) vs the baseline",
-			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-				o.Ctx = ctx
-				rows, err := Custom(o.Spec, o.Set, o)
-				if err != nil {
-					return nil, err
-				}
-				return &Report{speedupsReport(titleCustom, rows)}, nil
-			},
+			Run:         custom,
 		},
-		sensExp(SensBlockCache),
-		sensExp(SensFillBuffer),
-		sensExp(SensH2PDecay),
-		sensExp(SensLead),
-		sensExp(SensFetchQueue),
 	} {
 		RegisterExperiment(e)
+	}
+	for _, p := range []SensParam{SensBlockCache, SensFillBuffer, SensH2PDecay, SensLead, SensFetchQueue} {
+		RegisterExperiment(Experiment{
+			Name:        "sens-" + string(p),
+			Title:       fmt.Sprintf("Sensitivity: %s", p),
+			Description: fmt.Sprintf("structure-size sensitivity sweep over %s", p),
+			Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
+				return sensitivity(ctx, p, nil, o)
+			},
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package tea_test
+package tea
 
 import (
 	"bytes"
@@ -7,17 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"teasim/tea"
 )
 
 // stubRun is a deterministic fake simulation for registry dispatch tests.
-func stubRun(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
+func stubRun(ctx context.Context, workload string, cfg Config) (Result, error) {
 	cyc := uint64(2000 + 7*len(workload))
-	if cfg.Mode != tea.ModeBaseline {
+	if cfg.Mode != ModeBaseline {
 		cyc -= 150
 	}
-	return tea.Result{
+	return Result{
 		Workload:     workload,
 		Mode:         cfg.Mode,
 		Cycles:       cyc,
@@ -29,7 +27,7 @@ func stubRun(ctx context.Context, workload string, cfg tea.Config) (tea.Result, 
 }
 
 func TestExperimentCatalog(t *testing.T) {
-	exps := tea.Experiments()
+	exps := Experiments()
 	if len(exps) == 0 {
 		t.Fatal("empty experiment catalog")
 	}
@@ -55,7 +53,7 @@ func TestExperimentCatalog(t *testing.T) {
 		}
 	}
 
-	names := tea.ExperimentNames()
+	names := ExperimentNames()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Errorf("ExperimentNames not sorted: %q before %q", names[i-1], names[i])
@@ -64,84 +62,57 @@ func TestExperimentCatalog(t *testing.T) {
 }
 
 func TestLookupExperiment(t *testing.T) {
-	if _, ok := tea.LookupExperiment("fig5"); !ok {
+	if _, ok := LookupExperiment("fig5"); !ok {
 		t.Error("fig5 not found")
 	}
-	if _, ok := tea.LookupExperiment("fig99"); ok {
+	if _, ok := LookupExperiment("fig99"); ok {
 		t.Error("fig99 unexpectedly found")
 	}
-	if _, err := tea.RunExperiment(context.Background(), "fig99", tea.ExpOptions{}); err == nil ||
+	if _, err := RunExperiment(context.Background(), "fig99", ExpOptions{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("RunExperiment(fig99) err = %v, want unknown experiment", err)
 	}
 }
 
 func TestRegisterExperimentRejectsDuplicates(t *testing.T) {
-	mustPanic := func(name string, e tea.Experiment) {
+	mustPanic := func(name string, e Experiment) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Errorf("%s: RegisterExperiment did not panic", name)
 			}
 		}()
-		tea.RegisterExperiment(e)
+		RegisterExperiment(e)
 	}
-	run := func(ctx context.Context, o tea.ExpOptions) (*tea.Report, error) { return nil, nil }
-	mustPanic("duplicate", tea.Experiment{Name: "fig5", Title: "t", Description: "d", Run: run})
-	mustPanic("no name", tea.Experiment{Run: run})
-	mustPanic("no runner", tea.Experiment{Name: "unique-but-runnerless"})
+	run := func(ctx context.Context, o ExpOptions) (*Report, error) { return nil, nil }
+	mustPanic("duplicate", Experiment{Name: "fig5", Title: "t", Description: "d", Run: run})
+	mustPanic("no name", Experiment{Run: run})
+	mustPanic("no runner", Experiment{Name: "unique-but-runnerless"})
 }
 
-// TestRunExperimentMatchesDirectCall pins the redesign's core promise: the
-// registry path renders byte-identical output to the direct Fig* call it
-// wraps.
-func TestRunExperimentMatchesDirectCall(t *testing.T) {
-	opts := func() tea.ExpOptions {
-		return tea.ExpOptions{
-			Workloads:       []string{"bfs", "mcf"},
-			MaxInstructions: 10_000,
-			Engine:          tea.NewEngine(1, tea.WithRunFunc(stubRun)),
-		}
-	}
-
-	rows, err := tea.Fig5(opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var direct bytes.Buffer
-	if err := tea.WriteSpeedups(&direct, tea.FormatCSV,
-		"Fig 5: TEA thread speedup over baseline (paper geomean +10.1%)", rows); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := tea.RunExperiment(context.Background(), "fig5", opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaRegistry bytes.Buffer
-	if err := rep.Write(&viaRegistry, tea.FormatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if viaRegistry.String() != direct.String() {
-		t.Errorf("registry output differs from direct call:\n--- registry ---\n%s\n--- direct ---\n%s",
-			viaRegistry.String(), direct.String())
+// TestDefaultExpOptions pins the zero value's defaults: 1M instructions per
+// cell, paper-like scale, and the full suite.
+func TestDefaultExpOptions(t *testing.T) {
+	o := ExpOptions{}.fill()
+	if o.MaxInstructions != 1_000_000 || o.Scale != 1 || len(o.Workloads) != 17 || o.Engine == nil {
+		t.Fatalf("bad defaults: %+v", o)
 	}
 }
 
 // TestReportErrorRows pins the quarantine accounting the -partial exit code
 // and the daemon's X-Tea-Error-Rows header rely on.
 func TestReportErrorRows(t *testing.T) {
-	boom := func(ctx context.Context, workload string, cfg tea.Config) (tea.Result, error) {
-		if workload == "mcf" && cfg.Mode != tea.ModeBaseline {
+	boom := func(ctx context.Context, workload string, cfg Config) (Result, error) {
+		if workload == "mcf" && cfg.Mode != ModeBaseline {
 			panic("injected failure")
 		}
 		return stubRun(ctx, workload, cfg)
 	}
-	rep, err := tea.RunExperiment(context.Background(), "fig5", tea.ExpOptions{
+	rep, err := RunExperiment(context.Background(), "fig5", ExpOptions{
 		Workloads:       []string{"bfs", "mcf"},
 		MaxInstructions: 10_000,
 		Partial:         true,
-		Engine:          tea.NewEngine(1, tea.WithRunFunc(boom)),
+		Engine:          NewEngine(1, WithRunFunc(boom)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,10 +121,10 @@ func TestReportErrorRows(t *testing.T) {
 		t.Errorf("ErrorRows = %d, want 1", got)
 	}
 
-	clean, err := tea.RunExperiment(context.Background(), "fig5", tea.ExpOptions{
+	clean, err := RunExperiment(context.Background(), "fig5", ExpOptions{
 		Workloads:       []string{"bfs"},
 		MaxInstructions: 10_000,
-		Engine:          tea.NewEngine(1, tea.WithRunFunc(stubRun)),
+		Engine:          NewEngine(1, WithRunFunc(stubRun)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,18 +141,18 @@ func TestReportErrorRows(t *testing.T) {
 func TestRegistryGoldens(t *testing.T) {
 	formats := []struct {
 		ext string
-		f   tea.Format
+		f   Format
 	}{
-		{"txt", tea.FormatText},
-		{"json", tea.FormatJSON},
-		{"csv", tea.FormatCSV},
+		{"txt", FormatText},
+		{"json", FormatJSON},
+		{"csv", FormatCSV},
 	}
-	for _, e := range tea.Experiments() {
+	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
-			rep, err := tea.RunExperiment(context.Background(), e.Name, tea.ExpOptions{
+			rep, err := RunExperiment(context.Background(), e.Name, ExpOptions{
 				Workloads:       []string{"bfs", "mcf"},
 				MaxInstructions: 10_000,
-				Engine:          tea.NewEngine(1, tea.WithRunFunc(stubRun)),
+				Engine:          NewEngine(1, WithRunFunc(stubRun)),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -10,13 +10,12 @@ import (
 	"text/tabwriter"
 )
 
-// Format selects a report rendering for the Write* functions.
+// Format selects a report rendering for Report.Write.
 type Format int
 
 // Formats.
 const (
-	// FormatText renders the aligned human-readable table (the Print*
-	// output).
+	// FormatText renders the aligned human-readable table.
 	FormatText Format = iota
 	// FormatJSON renders a {"title","columns","rows","summary"} envelope
 	// whose rows are the structured experiment rows, not formatted cells.
@@ -52,10 +51,11 @@ func ParseFormat(s string) (Format, error) {
 	return 0, fmt.Errorf("tea: unknown format %q (want text, json, or csv)", s)
 }
 
-// report is the one shape behind every table: a title, a header, formatted
-// row and summary cells, and the structured rows for JSON. All renderings
-// derive from it, so the three formats can never drift apart.
-type report struct {
+// Report is a render-ready experiment outcome: the uniform shape every
+// registered experiment returns (see RunExperiment). It carries a title, a
+// header, formatted row and summary cells, and the structured rows for
+// JSON; all three formats derive from it, so they can never drift apart.
+type Report struct {
 	title   string
 	header  []string
 	rows    [][]string
@@ -71,8 +71,36 @@ type jsonReport struct {
 	Summary [][]string `json:"summary,omitempty"`
 }
 
-// write renders the report in the requested format.
-func (r report) write(w io.Writer, f Format) error {
+// Title returns the report's title line.
+func (r *Report) Title() string { return r.title }
+
+// Columns returns the report's column headers.
+func (r *Report) Columns() []string { return append([]string(nil), r.header...) }
+
+// Rows returns the structured experiment rows ([]SpeedupRow, []Result,
+// []Fig8Row, ... depending on the experiment).
+func (r *Report) Rows() any { return r.data }
+
+// ErrorRows counts quarantined ERROR rows (errRow output, under
+// ExpOptions.Partial): cells that failed and were excluded from the
+// report's aggregates. Callers that need a degraded run to be
+// machine-detectable (teaexp -partial's exit status, the serve daemon's
+// response headers) key off this count.
+func (r *Report) ErrorRows() int {
+	n := 0
+	for _, row := range r.rows {
+		for _, cell := range row {
+			if strings.HasPrefix(cell, "ERROR: ") {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// Write renders the report in the requested format.
+func (r *Report) Write(w io.Writer, f Format) error {
 	switch f {
 	case FormatText:
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -110,47 +138,6 @@ func (r report) write(w io.Writer, f Format) error {
 	return fmt.Errorf("tea: unknown format %d", int(f))
 }
 
-// errorRows counts quarantined ERROR rows (errRow output) in the report.
-func (r report) errorRows() int {
-	n := 0
-	for _, row := range r.rows {
-		for _, cell := range row {
-			if strings.HasPrefix(cell, "ERROR: ") {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// Report is a rendered-ready experiment outcome: the uniform row schema
-// every registered experiment returns (see RunExperiment). One Report
-// carries the title, header, formatted cells, and structured rows, so all
-// three Write* formats derive from the same data and can never drift apart.
-type Report struct {
-	rep report
-}
-
-// Title returns the report's title line.
-func (r *Report) Title() string { return r.rep.title }
-
-// Columns returns the report's column headers.
-func (r *Report) Columns() []string { return append([]string(nil), r.rep.header...) }
-
-// Rows returns the structured experiment rows ([]SpeedupRow, []Result,
-// []Fig8Row, ... depending on the experiment).
-func (r *Report) Rows() any { return r.rep.data }
-
-// ErrorRows counts quarantined ERROR rows (ExpOptions.Partial): cells that
-// failed and were excluded from the report's aggregates. Callers that need a
-// degraded run to be machine-detectable (teaexp -partial's exit status, the
-// serve daemon's response headers) key off this count.
-func (r *Report) ErrorRows() int { return r.rep.errorRows() }
-
-// Write renders the report in the requested format.
-func (r *Report) Write(w io.Writer, f Format) error { return r.rep.write(w, f) }
-
 // pct formats a signed percentage delta from a ratio (1.0 -> "+0.0%").
 func pct(ratio float64) string { return fmt.Sprintf("%+.1f%%", 100*(ratio-1)) }
 
@@ -170,8 +157,8 @@ func errRow(lead []string, errMsg string, width int) []string {
 	return row
 }
 
-func speedupsReport(title string, rows []SpeedupRow) report {
-	r := report{
+func speedupsReport(title string, rows []SpeedupRow) *Report {
+	r := &Report{
 		title:  title,
 		header: []string{"workload", "base cyc", "with cyc", "speedup", "coverage", "accuracy"},
 		data:   rows,
@@ -196,18 +183,8 @@ func speedupsReport(title string, rows []SpeedupRow) report {
 	return r
 }
 
-// WriteSpeedups renders speedup rows with a geomean footer.
-func WriteSpeedups(w io.Writer, f Format, title string, rows []SpeedupRow) error {
-	return speedupsReport(title, rows).write(w, f)
-}
-
-// PrintSpeedups renders speedup rows as text with a geomean footer.
-func PrintSpeedups(w io.Writer, title string, rows []SpeedupRow) {
-	WriteSpeedups(w, FormatText, title, rows)
-}
-
-func fig6Report(rows []Result) report {
-	r := report{
+func fig6Report(rows []Result) *Report {
+	r := &Report{
 		title:  "Fig 6: branch MPKI (baseline)",
 		header: []string{"workload", "MPKI", "cond misp", "target misp", "IPC"},
 		data:   rows,
@@ -228,16 +205,8 @@ func fig6Report(rows []Result) report {
 	return r
 }
 
-// WriteFig6 renders the MPKI table.
-func WriteFig6(w io.Writer, f Format, rows []Result) error {
-	return fig6Report(rows).write(w, f)
-}
-
-// PrintFig6 renders the MPKI table as text.
-func PrintFig6(w io.Writer, rows []Result) { WriteFig6(w, FormatText, rows) }
-
-func fig7Report(rows []Result) report {
-	r := report{
+func fig7Report(rows []Result) *Report {
+	r := &Report{
 		title: "Fig 7: misprediction breakdown under TEA",
 		header: []string{"workload", "covered", "late", "incorrect", "uncovered",
 			"coverage", "accuracy"},
@@ -266,20 +235,12 @@ func fig7Report(rows []Result) report {
 	return r
 }
 
-// WriteFig7 renders the misprediction-coverage breakdown.
-func WriteFig7(w io.Writer, f Format, rows []Result) error {
-	return fig7Report(rows).write(w, f)
-}
-
-// PrintFig7 renders the misprediction-coverage breakdown as text.
-func PrintFig7(w io.Writer, rows []Result) { WriteFig7(w, FormatText, rows) }
-
-func fig8Report(rows []Fig8Row) report {
+func fig8Report(rows []Fig8Row) *Report {
 	grouped := append([]Fig8Row(nil), rows...)
 	sort.SliceStable(grouped, func(i, j int) bool {
 		return grouped[i].SimpleFlow && !grouped[j].SimpleFlow
 	})
-	r := report{
+	r := &Report{
 		title:  "Fig 8: TEA vs Branch Runahead",
 		header: []string{"workload", "flow", "TEA", "Runahead"},
 		data:   grouped,
@@ -311,17 +272,8 @@ func fig8Report(rows []Fig8Row) report {
 	return r
 }
 
-// WriteFig8 renders the TEA-vs-Branch-Runahead comparison with the paper's
-// simple/complex control-flow grouping.
-func WriteFig8(w io.Writer, f Format, rows []Fig8Row) error {
-	return fig8Report(rows).write(w, f)
-}
-
-// PrintFig8 renders the TEA-vs-Branch-Runahead comparison as text.
-func PrintFig8(w io.Writer, rows []Fig8Row) { WriteFig8(w, FormatText, rows) }
-
-func fig10Report(rows []Fig10Row) report {
-	r := report{
+func fig10Report(rows []Fig10Row) *Report {
+	r := &Report{
 		title:  "Fig 10: thread-construction ablations",
 		header: []string{"config", "workload", "accuracy", "coverage", "saved/branch"},
 		data:   rows,
@@ -359,16 +311,8 @@ func fig10Report(rows []Fig10Row) report {
 	return r
 }
 
-// WriteFig10 renders the ablation grid.
-func WriteFig10(w io.Writer, f Format, rows []Fig10Row) error {
-	return fig10Report(rows).write(w, f)
-}
-
-// PrintFig10 renders the ablation grid as text.
-func PrintFig10(w io.Writer, rows []Fig10Row) { WriteFig10(w, FormatText, rows) }
-
-func table3Report(rows []Result) report {
-	r := report{
+func table3Report(rows []Result) *Report {
+	r := &Report{
 		title:  "Table III: extra dynamic uops fetched by the TEA thread",
 		header: []string{"workload", "overhead"},
 		data:   rows,
@@ -386,16 +330,8 @@ func table3Report(rows []Result) report {
 	return r
 }
 
-// WriteTable3 renders the dynamic-footprint table.
-func WriteTable3(w io.Writer, f Format, rows []Result) error {
-	return table3Report(rows).write(w, f)
-}
-
-// PrintTable3 renders the dynamic-footprint table as text.
-func PrintTable3(w io.Writer, rows []Result) { WriteTable3(w, FormatText, rows) }
-
-func sensitivityReport(p SensParam, rows []SensRow) report {
-	r := report{
+func sensitivityReport(p SensParam, rows []SensRow) *Report {
+	r := &Report{
 		title:  fmt.Sprintf("Sensitivity: %s", p),
 		header: []string{"workload", "value", "speedup", "coverage", "accuracy"},
 		data:   rows,
@@ -426,14 +362,4 @@ func sensitivityReport(p SensParam, rows []SensRow) report {
 			fmt.Sprintf("geomean @%d", v), "", pct(Geomean(byValue[v])), "", ""})
 	}
 	return r
-}
-
-// WriteSensitivity renders a sensitivity sweep with per-value geomeans.
-func WriteSensitivity(w io.Writer, f Format, p SensParam, rows []SensRow) error {
-	return sensitivityReport(p, rows).write(w, f)
-}
-
-// PrintSensitivity renders a sensitivity sweep as text.
-func PrintSensitivity(w io.Writer, p SensParam, rows []SensRow) {
-	WriteSensitivity(w, FormatText, p, rows)
 }

@@ -1,4 +1,4 @@
-package tea_test
+package tea
 
 import (
 	"bytes"
@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"teasim/tea"
 )
 
 var update = flag.Bool("update", false, "rewrite golden report files")
@@ -16,33 +14,33 @@ var update = flag.Bool("update", false, "rewrite golden report files")
 // Hand-built rows: the golden files pin the rendering, not the simulator,
 // so the values are small fixed numbers.
 
-func sampleSpeedupRows() []tea.SpeedupRow {
-	return []tea.SpeedupRow{
+func sampleSpeedupRows() []SpeedupRow {
+	return []SpeedupRow{
 		{
 			Workload: "bfs",
-			Base:     tea.Result{Workload: "bfs", Mode: tea.ModeBaseline, Cycles: 200000, Instructions: 100000, IPC: 0.5, Accuracy: 1},
-			With:     tea.Result{Workload: "bfs", Mode: tea.ModeTEA, Cycles: 160000, Instructions: 100000, IPC: 0.625, Coverage: 0.92, Accuracy: 0.998},
+			Base:     Result{Workload: "bfs", Mode: ModeBaseline, Cycles: 200000, Instructions: 100000, IPC: 0.5, Accuracy: 1},
+			With:     Result{Workload: "bfs", Mode: ModeTEA, Cycles: 160000, Instructions: 100000, IPC: 0.625, Coverage: 0.92, Accuracy: 0.998},
 			Speedup:  1.25,
 		},
 		{
 			Workload: "mcf",
-			Base:     tea.Result{Workload: "mcf", Mode: tea.ModeBaseline, Cycles: 300000, Instructions: 100000, IPC: 0.334, Accuracy: 1},
-			With:     tea.Result{Workload: "mcf", Mode: tea.ModeTEA, Cycles: 250000, Instructions: 100000, IPC: 0.4, Coverage: 0.68, Accuracy: 0.941},
+			Base:     Result{Workload: "mcf", Mode: ModeBaseline, Cycles: 300000, Instructions: 100000, IPC: 0.334, Accuracy: 1},
+			With:     Result{Workload: "mcf", Mode: ModeTEA, Cycles: 250000, Instructions: 100000, IPC: 0.4, Coverage: 0.68, Accuracy: 0.941},
 			Speedup:  1.2,
 		},
 	}
 }
 
-func sampleFig8Rows() []tea.Fig8Row {
-	return []tea.Fig8Row{
+func sampleFig8Rows() []Fig8Row {
+	return []Fig8Row{
 		{Workload: "mcf", SimpleFlow: false, TEA: 1.2, Runahead: 1.05},
 		{Workload: "bfs", SimpleFlow: true, TEA: 1.25, Runahead: 1.0},
 		{Workload: "xz", SimpleFlow: true, TEA: 0.97, Runahead: 0.9},
 	}
 }
 
-func sampleFig10Rows() []tea.Fig10Row {
-	return []tea.Fig10Row{
+func sampleFig10Rows() []Fig10Row {
+	return []Fig10Row{
 		{Workload: "bfs", Config: "tea", Accuracy: 0.998, Coverage: 0.92, Saved: 31.5},
 		{Workload: "mcf", Config: "tea", Accuracy: 0.941, Coverage: 0.68, Saved: 18.2},
 		{Workload: "bfs", Config: "nomem", Accuracy: 0.85, Coverage: 0.4, Saved: 12.0},
@@ -53,25 +51,25 @@ func sampleFig10Rows() []tea.Fig10Row {
 func TestGoldenReports(t *testing.T) {
 	cases := []struct {
 		name  string
-		write func(w io.Writer, f tea.Format) error
+		write func(w io.Writer, f Format) error
 	}{
-		{"speedups", func(w io.Writer, f tea.Format) error {
-			return tea.WriteSpeedups(w, f, "Fig 5: sample speedups", sampleSpeedupRows())
+		{"speedups", func(w io.Writer, f Format) error {
+			return speedupsReport("Fig 5: sample speedups", sampleSpeedupRows()).Write(w, f)
 		}},
-		{"fig8", func(w io.Writer, f tea.Format) error {
-			return tea.WriteFig8(w, f, sampleFig8Rows())
+		{"fig8", func(w io.Writer, f Format) error {
+			return fig8Report(sampleFig8Rows()).Write(w, f)
 		}},
-		{"fig10", func(w io.Writer, f tea.Format) error {
-			return tea.WriteFig10(w, f, sampleFig10Rows())
+		{"fig10", func(w io.Writer, f Format) error {
+			return fig10Report(sampleFig10Rows()).Write(w, f)
 		}},
 	}
 	formats := []struct {
 		ext string
-		f   tea.Format
+		f   Format
 	}{
-		{"txt", tea.FormatText},
-		{"json", tea.FormatJSON},
-		{"csv", tea.FormatCSV},
+		{"txt", FormatText},
+		{"json", FormatJSON},
+		{"csv", FormatCSV},
 	}
 	for _, c := range cases {
 		for _, ff := range formats {
@@ -100,37 +98,26 @@ func TestGoldenReports(t *testing.T) {
 }
 
 func TestParseFormat(t *testing.T) {
-	for _, f := range []tea.Format{tea.FormatText, tea.FormatJSON, tea.FormatCSV} {
-		got, err := tea.ParseFormat(f.String())
+	for _, f := range []Format{FormatText, FormatJSON, FormatCSV} {
+		got, err := ParseFormat(f.String())
 		if err != nil || got != f {
 			t.Fatalf("ParseFormat(%q) = %v, %v", f.String(), got, err)
 		}
 	}
-	if _, err := tea.ParseFormat("yaml"); err == nil {
+	if _, err := ParseFormat("yaml"); err == nil {
 		t.Fatal("expected error for unknown format")
 	}
 }
 
-func TestPrintMatchesWriteText(t *testing.T) {
-	var p, w bytes.Buffer
-	tea.PrintSpeedups(&p, "Fig 5: sample speedups", sampleSpeedupRows())
-	if err := tea.WriteSpeedups(&w, tea.FormatText, "Fig 5: sample speedups", sampleSpeedupRows()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.Bytes(), w.Bytes()) {
-		t.Fatal("PrintSpeedups and WriteSpeedups(text) disagree")
-	}
-}
-
 func TestModeJSONRoundTrip(t *testing.T) {
-	for _, m := range []tea.Mode{tea.ModeBaseline, tea.ModeTEA, tea.ModeTEADedicated,
-		tea.ModeBranchRunahead, tea.ModeTEABigEngine, tea.ModeWide16} {
-		got, err := tea.ParseMode(m.String())
+	for _, m := range []Mode{ModeBaseline, ModeTEA, ModeTEADedicated,
+		ModeBranchRunahead, ModeTEABigEngine, ModeWide16} {
+		got, err := ParseMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, err := tea.ParseMode("warp-drive"); err == nil {
+	if _, err := ParseMode("warp-drive"); err == nil {
 		t.Fatal("expected error for unknown mode")
 	}
 }

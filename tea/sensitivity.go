@@ -1,6 +1,7 @@
 package tea
 
 import (
+	"context"
 	"fmt"
 
 	"teasim/tea/spec"
@@ -76,14 +77,14 @@ func (p SensParam) Patch(value int) (string, error) {
 	return "", fmt.Errorf("tea: unknown sensitivity parameter %q", p)
 }
 
-// Sensitivity sweeps one parameter over the given values (nil = defaults)
+// sensitivity sweeps one parameter over the given values (nil = defaults)
 // for every workload in opts, measuring TEA speedup over the baseline. Every
 // sweep point is the ModeTEA preset plus one spec patch (SensParam.Patch);
 // the full workload × value matrix plus the per-workload baselines dispatch
 // as one engine batch. Points that patch a field back to its preset value
 // fingerprint identically to the plain preset, so the engine simulates them
 // once across sweeps.
-func Sensitivity(p SensParam, values []int, opts ExpOptions) ([]SensRow, error) {
+func sensitivity(ctx context.Context, p SensParam, values []int, opts ExpOptions) (*Report, error) {
 	opts = opts.fill()
 	if values == nil {
 		values = SensDefaults(p)
@@ -102,7 +103,7 @@ func Sensitivity(p SensParam, values []int, opts ExpOptions) ([]SensRow, error) 
 			jobs = append(jobs, opts.job(name, cfg))
 		}
 	}
-	res, err := opts.mapJobs(opts.ctx(), jobs)
+	res, err := opts.mapJobs(ctx, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -133,5 +134,5 @@ func Sensitivity(p SensParam, values []int, opts ExpOptions) ([]SensRow, error) 
 			rows = append(rows, row)
 		}
 	}
-	return rows, nil
+	return sensitivityReport(p, rows), nil
 }

@@ -3,7 +3,6 @@ package tea
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"teasim/tea/spec"
 )
@@ -64,14 +63,13 @@ func shootoutConfig(o ExpOptions, kind spec.CompanionKind) (Config, error) {
 	return cfg, nil
 }
 
-// Shootout runs every registered companion kind against the shared baseline:
+// shootout runs every registered companion kind against the shared baseline:
 // the N-way generalization of Fig. 8. Each workload's baseline is simulated
 // exactly once — the opening "none" pass populates the engine memo, and every
 // kind's speedup batch hits it — so adding a companion to the zoo costs one
 // extra cell per workload, never a new baseline.
-func Shootout(o ExpOptions) ([]ShootoutRow, error) {
+func shootout(ctx context.Context, o ExpOptions) (*Report, error) {
 	o = o.fill()
-	ctx := o.ctx()
 	kinds := ShootoutKinds()
 
 	// The "none" pass is both the first report group and everybody's
@@ -112,13 +110,13 @@ func Shootout(o ExpOptions) ([]ShootoutRow, error) {
 			})
 		}
 	}
-	return rows, nil
+	return shootoutReport(rows), nil
 }
 
 const titleShootout = "Companion shootout: every registered companion kind vs the shared baseline"
 
-func shootoutReport(rows []ShootoutRow) report {
-	r := report{
+func shootoutReport(rows []ShootoutRow) *Report {
+	r := &Report{
 		title:  titleShootout,
 		header: []string{"kind", "workload", "speedup", "coverage", "accuracy", "saved/branch"},
 		data:   rows,
@@ -158,26 +156,11 @@ func shootoutReport(rows []ShootoutRow) report {
 	return r
 }
 
-// WriteShootout renders the companion shootout with per-kind geomean footers.
-func WriteShootout(w io.Writer, f Format, rows []ShootoutRow) error {
-	return shootoutReport(rows).write(w, f)
-}
-
-// PrintShootout renders the companion shootout as text.
-func PrintShootout(w io.Writer, rows []ShootoutRow) { WriteShootout(w, FormatText, rows) }
-
 func init() {
 	RegisterExperiment(Experiment{
 		Name:        "shootout",
 		Title:       titleShootout,
 		Description: "every registered companion kind vs the shared baseline (N-way Fig 8)",
-		Run: func(ctx context.Context, o ExpOptions) (*Report, error) {
-			o.Ctx = ctx
-			rows, err := Shootout(o)
-			if err != nil {
-				return nil, err
-			}
-			return &Report{shootoutReport(rows)}, nil
-		},
+		Run:         shootout,
 	})
 }

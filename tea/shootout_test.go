@@ -59,10 +59,11 @@ func TestShootoutBaselineMemoized(t *testing.T) {
 	}
 	wls := []string{"bfs", "mcf"}
 	o := ExpOptions{MaxInstructions: 1000, Workloads: wls, Engine: e}
-	rows, err := Shootout(o)
+	rep, err := shootout(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := rep.Rows().([]ShootoutRow)
 	kinds := ShootoutKinds()
 	if want := len(kinds) * len(wls); len(rows) != want {
 		t.Fatalf("%d rows, want %d (%d kinds x %d workloads)", len(rows), want, len(kinds), len(wls))
@@ -100,14 +101,15 @@ func TestShootoutMatchesFig8Rows(t *testing.T) {
 			Engine:          NewEngine(2),
 		}
 	}
-	srows, err := Shootout(opts())
+	srep, err := shootout(context.Background(), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f8, err := Fig8(opts())
+	f8rep, err := fig8(context.Background(), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	srows, f8 := srep.Rows().([]ShootoutRow), f8rep.Rows().([]Fig8Row)
 	sp := map[string]map[string]float64{}
 	for _, r := range srows {
 		if sp[r.Kind] == nil {
@@ -138,7 +140,7 @@ func TestShootoutReport(t *testing.T) {
 		{Workload: "bfs", Kind: "twowin", Speedup: 1.01, Coverage: 0.4, Accuracy: 1, Saved: 1.5},
 	}
 	var sb strings.Builder
-	if err := WriteShootout(&sb, FormatText, rows); err != nil {
+	if err := shootoutReport(rows).Write(&sb, FormatText); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -152,7 +154,6 @@ func TestShootoutReport(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	// The registry entry renders the same bytes as the direct call.
 	rep, ok := LookupExperiment("shootout")
 	if !ok {
 		t.Fatal("shootout not in the experiment registry")
