@@ -94,8 +94,9 @@ func realMain() int {
 		var err error
 		st, err = store.Open(*dir, store.Options{Shards: *shards, TTL: *ttl, Telemetry: corruptLogSink{lg}})
 		if err != nil {
+			// An unusable -store or -store-ttl is a configuration error.
 			lg.Print(err)
-			return 1
+			return 2
 		}
 		defer st.Close()
 		lg.Printf("store %s: %d results", *dir, st.Len())

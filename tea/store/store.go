@@ -65,6 +65,8 @@ type Options struct {
 	Shards int
 	// TTL bounds how long an entry is served after it was written (0 =
 	// forever). Expired entries miss on Get and are dropped by Compact.
+	// Entries carry whole-second timestamps, so a TTL above 0 must be at
+	// least one second.
 	TTL time.Duration
 	// Now overrides the clock (tests); nil = time.Now.
 	Now func() time.Time
@@ -136,6 +138,9 @@ func Open(dir string, o Options) (*Store, error) {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
+	}
+	if o.TTL > 0 && o.TTL < time.Second {
+		return nil, fmt.Errorf("store: open: TTL %v is below the one-second resolution of entry timestamps", o.TTL)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
@@ -225,7 +230,7 @@ func (s *Store) load(path string) error {
 // fresh reports whether an entry written at unix second `at` is still within
 // the TTL.
 func (s *Store) fresh(at int64) bool {
-	return s.ttl == 0 || s.now().Unix()-at < int64(s.ttl/time.Second)
+	return s.ttl == 0 || s.now().Sub(time.Unix(at, 0)) < s.ttl
 }
 
 // Get returns the stored result for a key, if present and fresh.

@@ -195,6 +195,35 @@ func TestStoreTTLAndCompaction(t *testing.T) {
 	}
 }
 
+// TestStoreFractionalTTL pins TTLs that are not whole seconds: a 1.5s TTL
+// serves an entry for the full 1.5s, and a TTL below the one-second
+// timestamp resolution is refused at open instead of expiring everything.
+func TestStoreFractionalTTL(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(1_000_000, 0)
+	clock := func() time.Time { return now }
+	s, err := Open(dir, Options{Shards: 1, TTL: 1500 * time.Millisecond, Now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put(testRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(1200 * time.Millisecond)
+	if _, ok := s.Get(KeyOf(testRec(0))); !ok {
+		t.Fatal("entry missed 1.2s into a 1.5s TTL")
+	}
+	now = now.Add(400 * time.Millisecond)
+	if _, ok := s.Get(KeyOf(testRec(0))); ok {
+		t.Fatal("entry served 1.6s into a 1.5s TTL")
+	}
+
+	if _, err := Open(t.TempDir(), Options{TTL: 500 * time.Millisecond, Now: clock}); err == nil {
+		t.Fatal("Open accepted a 500ms TTL")
+	}
+}
+
 func TestStoreNewestWins(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1_000_000, 0)
