@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 tier2 lint race bench bench-smoke bench-compare bench-experiments paranoia fuzz-smoke daemon-smoke chaos profile-cpu profile-mem clean
+.PHONY: all build test tier1 tier2 lint race bench bench-experiments paranoia fuzz-smoke daemon-smoke chaos profile-cpu profile-mem clean
 
 all: tier1
 
@@ -15,13 +15,15 @@ tier1:
 	$(GO) build ./... && $(GO) test ./...
 
 # Lint: formatting (gofmt -l exits 0 even with findings, so fail on output)
-# plus go vet. CI runs this as its own step.
+# plus go vet, on the root module and on perfbench (its own module, which
+# ./... never enters). CI runs this as its own step.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 # Tier 2: static analysis plus the full suite under the race detector.
 # Includes TestEngineDeterminismAcrossWorkers, which drives real simulations
@@ -38,27 +40,6 @@ bench:
 # Figure/table benchmarks at reduced budgets (see bench_test.go).
 bench-experiments:
 	$(GO) test -bench 'Fig10|Fig5' -benchtime=1x -run XXX
-
-# Quick throughput/allocation health check, summarized as JSON (CI runs this;
-# BENCH_PR3.json and BENCH_PR6.json in the repo root are committed reference
-# snapshots).
-BENCH_SMOKE_OUT ?= bench-smoke.json
-bench-smoke:
-	$(GO) test -bench 'SimulatorThroughput|Fig8VsRunahead' -benchtime=1x -run XXX . \
-		| tee /dev/stderr \
-		| $(GO) run ./internal/tools/benchjson -o $(BENCH_SMOKE_OUT)
-	@echo "wrote $(BENCH_SMOKE_OUT)"
-
-# Regression gate: run the smoke benchmarks and fail if sim-instrs/s dropped
-# more than MAX_REGRESS percent against the committed baseline — the newest
-# BENCH_PR<N>.json snapshot in the repo root (version-sorted, so PR10 beats
-# PR9). CI runs this after bench-smoke; run it locally before sending
-# perf-sensitive changes.
-BENCH_BASELINE ?= $(shell ls BENCH_PR*.json | sort -V | tail -1)
-MAX_REGRESS ?= 10
-bench-compare: bench-smoke
-	$(GO) run ./internal/tools/benchjson -compare -max-regress $(MAX_REGRESS) \
-		$(BENCH_BASELINE) $(BENCH_SMOKE_OUT)
 
 # Paranoia suite: the full workload × mode matrix with the per-cycle
 # invariant checker armed (see internal/pipeline/paranoia.go), asserting
