@@ -34,10 +34,10 @@ type Job struct {
 // distinct machine point exactly once: shared baselines, and equally the
 // default-valued cell every sensitivity sweep revisits.
 //
-// Fault tolerance is layered on the same memo key. SetJournal records every
+// Fault tolerance is layered on the same memo key. WithJournal records every
 // freshly simulated memoizable cell to a crash-safe JSONL journal;
 // SeedJournal pre-loads the cache from a previous run's journal so a killed
-// suite resumes with only the missing cells. SetPolicy adds per-job
+// suite resumes with only the missing cells. WithPolicy adds per-job
 // deadlines, a no-progress hang watchdog fed by the simulation loop's cycle
 // heartbeat, bounded retry for panicking jobs, and repro bundles for cells
 // that fail permanently. MapPartial degrades failed cells to per-job errors
@@ -58,7 +58,7 @@ type Engine struct {
 	hits    int
 	seeded  int
 	policy  JobPolicy
-	journal JournalWriter
+	journal *Journal
 	sink    telemetry.Sink
 
 	pmu      sync.Mutex // serializes progress callbacks
@@ -70,13 +70,6 @@ type Engine struct {
 // for callers that layer extra result sources underneath the engine (the
 // serve daemon's content-addressed store) or stub simulation in tests.
 type RunFunc func(ctx context.Context, workload string, cfg Config) (Result, error)
-
-// JournalWriter persists freshly simulated memoizable cells. *Journal is the
-// single-file implementation; tea/store's sharded content-addressed store is
-// another.
-type JournalWriter interface {
-	Append(JournalRecord) error
-}
 
 // EngineOption configures an Engine at construction (NewEngine).
 type EngineOption func(*Engine)
@@ -90,7 +83,7 @@ func WithPolicy(p JobPolicy) EngineOption {
 // simulates is durably appended after it completes. Journal write failures
 // surface as the job's error — a suite that cannot checkpoint should fail
 // loudly, not silently lose its resumability.
-func WithJournal(j JournalWriter) EngineOption {
+func WithJournal(j *Journal) EngineOption {
 	return func(e *Engine) { e.journal = j }
 }
 
@@ -186,7 +179,7 @@ type JobPolicy struct {
 // memoKey identifies one memoizable simulation: the workload, the machine
 // point (the resolved spec's fingerprint, plus the mode for the Result's
 // label), and the run budget. Two configs that resolve to the same machine
-// — a preset and the equivalent -set patches, or an override field and its
+// — a preset and the equivalent -set patches, or a hand-edited spec and its
 // patch form — share one key and therefore one simulation.
 type memoKey struct {
 	workload string

@@ -263,8 +263,7 @@ func (s *Store) Get(k Key) (tea.Result, bool) {
 }
 
 // Put durably appends one record (sealed, timestamped, fsynced) and indexes
-// it. Put implements tea.JournalWriter, so a store can back an engine
-// directly via tea.WithJournal.
+// it.
 func (s *Store) Put(rec tea.JournalRecord) error {
 	sealed, err := rec.Seal()
 	if err != nil {
@@ -293,9 +292,6 @@ func (s *Store) Put(rec tea.JournalRecord) error {
 	s.mu.Unlock()
 	return nil
 }
-
-// Append is Put under the tea.JournalWriter spelling.
-func (s *Store) Append(rec tea.JournalRecord) error { return s.Put(rec) }
 
 // Len returns the number of indexed entries (including any not yet noticed
 // to be expired).
