@@ -11,6 +11,7 @@
 //	teasim -w bfs -mode tea -trace-out trace.jsonl -trace-start 60000 -trace-end 61000
 //	teasim -w bfs -config machine.json                  # custom machine spec
 //	teasim -w bfs -mode tea -set companion.tea.fill_buf_size=1024
+//	teasim -w bfs -mode tea -set companion.tea.only_loops=true   # a Fig. 10 ablation
 //	teasim -list
 //
 // -config loads a full machine spec (see tea/spec and the preset goldens
@@ -62,6 +63,26 @@ type jsonOutput struct {
 	Speedup  float64     `json:"speedup,omitempty"` // cycles(baseline)/cycles(run)
 }
 
+// quickPatch is the spec patch -quick stands for.
+const quickPatch = "memory.model=quick"
+
+// buildJobs returns the engine jobs for one invocation: the configured run,
+// then, with speedup, the baseline it is compared against. The baseline
+// runs on the run's fidelity tier (quick: the run's machine is on the quick
+// memory model, however it got there), so a speedup never divides an exact
+// cell by a quick one.
+func buildJobs(workload string, cfg tea.Config, speedup, quick bool) []tea.Job {
+	jobs := []tea.Job{{Workload: workload, Cfg: cfg}}
+	if speedup {
+		base := tea.Config{Mode: tea.ModeBaseline, MaxInstructions: cfg.MaxInstructions, Scale: cfg.Scale}
+		if quick {
+			base.Set = []string{quickPatch}
+		}
+		jobs = append(jobs, tea.Job{Workload: workload, Cfg: base})
+	}
+	return jobs
+}
+
 func main() {
 	var (
 		workload = flag.String("w", "bfs", "workload name (see -list)")
@@ -71,10 +92,6 @@ func main() {
 		scale    = flag.Int("scale", 1, "workload input scale (0 = tiny)")
 		cosim    = flag.Bool("cosim", false, "verify against the golden functional model")
 		list     = flag.Bool("list", false, "list workloads and exit")
-		onlyLoop = flag.Bool("onlyloops", false, "ablation: loop-confined chains")
-		noMasks  = flag.Bool("nomasks", false, "ablation: no mask combining")
-		noMem    = flag.Bool("nomem", false, "ablation: no memory dependencies")
-		noFlush  = flag.Bool("noflush", false, "ablation: disable early flushes")
 		paranoia = flag.Bool("paranoia", false, "run with the per-cycle invariant checker (slow)")
 		speedup  = flag.Bool("speedup", false, "also run the baseline and report the speedup")
 		workers  = flag.Int("workers", 0, "engine worker pool size (0 = TEASIM_WORKERS or GOMAXPROCS)")
@@ -84,13 +101,13 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write a JSONL event trace to this file")
 		trStart  = flag.Uint64("trace-start", 0, "first traced cycle (with -trace-out)")
 		trEnd    = flag.Uint64("trace-end", 0, "last traced cycle, 0 = unbounded (with -trace-out)")
-		quick    = flag.Bool("quick", false, "statistical memory tier (shorthand for -set memory.model=quick; NOT comparable to exact runs)")
+		quick    = flag.Bool("quick", false, "statistical memory tier (shorthand for -set "+quickPatch+"; NOT comparable to exact runs)")
 		sets     stringList
 	)
 	flag.Var(&sets, "set", "spec patch section.field=value (repeatable)")
 	flag.Parse()
 	if *quick {
-		sets = append(sets, "memory.model=quick")
+		sets = append(sets, quickPatch)
 	}
 
 	if *list {
@@ -111,20 +128,16 @@ func main() {
 	}
 
 	cfg := tea.Config{
-		Mode:              m,
-		Set:               sets,
-		MaxInstructions:   *n,
-		Scale:             *scale,
-		CoSim:             *cosim,
-		OnlyLoops:         *onlyLoop,
-		NoMasks:           *noMasks,
-		NoMem:             *noMem,
-		DisableEarlyFlush: *noFlush,
-		Paranoia:          *paranoia,
-		Intervals:         *ivals,
-		IntervalPeriod:    *ivPeriod,
-		TraceStart:        *trStart,
-		TraceEnd:          *trEnd,
+		Mode:            m,
+		Set:             sets,
+		MaxInstructions: *n,
+		Scale:           *scale,
+		CoSim:           *cosim,
+		Paranoia:        *paranoia,
+		Intervals:       *ivals,
+		IntervalPeriod:  *ivPeriod,
+		TraceStart:      *trStart,
+		TraceEnd:        *trEnd,
 	}
 	if *config != "" {
 		s, err := spec.Load(*config)
@@ -136,7 +149,8 @@ func main() {
 	}
 	// Resolve up front so a bad -config or -set fails with its own message
 	// instead of surfacing mid-run.
-	if _, err := cfg.ResolvedSpec(); err != nil {
+	machine, err := cfg.ResolvedSpec()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -152,11 +166,7 @@ func main() {
 	// Dispatch through the experiment engine: panic capture for free, and
 	// with -speedup the baseline cell runs in parallel on multi-core hosts.
 	eng := tea.NewEngine(*workers)
-	jobs := []tea.Job{{Workload: *workload, Cfg: cfg}}
-	if *speedup {
-		jobs = append(jobs, tea.Job{Workload: *workload,
-			Cfg: tea.Config{Mode: tea.ModeBaseline, MaxInstructions: *n, Scale: *scale}})
-	}
+	jobs := buildJobs(*workload, cfg, *speedup, machine.Memory.Quick())
 	// SIGINT cancels the run cooperatively (exit 130) instead of tearing the
 	// process down mid-cycle.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -30,8 +30,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "config\tspeedup\taccuracy\tcoverage\tsaved/branch")
 	for _, fc := range tea.Fig10Configs() {
-		cfg := fc.Cfg(tea.Config{Mode: fc.Mode, MaxInstructions: budget, Scale: 1})
-		res, err := tea.Run(name, cfg)
+		res, err := tea.Run(name, tea.Config{Mode: fc.Mode, Set: fc.Set, MaxInstructions: budget, Scale: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

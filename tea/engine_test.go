@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"teasim/internal/pipeline"
 )
 
 // countingEngine returns an engine whose runFn tallies invocations per
@@ -88,17 +90,18 @@ func TestFig8BaselineMemoized(t *testing.T) {
 
 // TestEngineMemoByFingerprint asserts the memo cache keys on the resolved
 // machine spec: configs describing the same machine share one simulation no
-// matter how they spell it (override field, -set patch, or plain preset),
-// while a config describing a different machine re-simulates.
+// matter how they spell it (one patch, a patch overridden by a later one, a
+// patch restating the preset, or the plain preset), while a config
+// describing a different machine re-simulates.
 func TestEngineMemoByFingerprint(t *testing.T) {
 	e, snapshot := countingEngine(2)
 	base := Config{Mode: ModeBaseline, MaxInstructions: 1000, Scale: 1}
 	override := base
-	override.FetchQueueSize = 64
+	override.Set = []string{"frontend.fetch_queue_size=32", "frontend.fetch_queue_size=64"}
 	patched := base
 	patched.Set = []string{"frontend.fetch_queue_size=64"}
 	redundant := base
-	redundant.FetchQueueSize = 128 // the preset value: same machine as base
+	redundant.Set = []string{"frontend.fetch_queue_size=128"} // the preset value: same machine as base
 	jobs := []Job{
 		{"bfs", base}, {"bfs", base},
 		{"bfs", override}, {"bfs", override}, {"bfs", patched},
@@ -115,8 +118,8 @@ func TestEngineMemoByFingerprint(t *testing.T) {
 }
 
 // TestEngineNoMemoForBehavioralConfigs asserts runs whose configuration
-// changes what the caller observes — co-simulation, telemetry, idle-skip
-// debugging — are never served from the cache.
+// changes what the caller observes — co-simulation, telemetry, a pipeline
+// reference path — are never served from the cache.
 func TestEngineNoMemoForBehavioralConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -124,7 +127,7 @@ func TestEngineNoMemoForBehavioralConfigs(t *testing.T) {
 	}{
 		{"cosim", func(c *Config) { c.CoSim = true }},
 		{"intervals", func(c *Config) { c.Intervals = true }},
-		{"noidleskip", func(c *Config) { c.DisableIdleSkip = true }},
+		{"noidleskip", func(c *Config) { c.pipe = func(p *pipeline.Config) { p.NoIdleSkip = true } }},
 		{"paranoia", func(c *Config) { c.Paranoia = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -179,23 +179,23 @@ func wide16(ctx context.Context, o ExpOptions) (*Report, error) {
 	return speedupExperiment(ctx, o, titleWide16, ModeWide16, nil)
 }
 
-// Fig10Config identifies one bar group of Fig. 10.
+// Fig10Config identifies one bar group of Fig. 10: a mode preset plus the
+// spec patches (Config.Set) that ablate it.
 type Fig10Config struct {
 	Name string
-	Cfg  func(Config) Config
 	Mode Mode
+	Set  []string
 }
 
 // Fig10Configs returns the five thread-construction configurations compared
 // in Fig. 10: full TEA, only-loops, no-masks, no-mem, and Branch Runahead.
 func Fig10Configs() []Fig10Config {
-	id := func(c Config) Config { return c }
 	return []Fig10Config{
-		{Name: "tea", Mode: ModeTEA, Cfg: id},
-		{Name: "onlyloops", Mode: ModeTEA, Cfg: func(c Config) Config { c.OnlyLoops = true; return c }},
-		{Name: "nomasks", Mode: ModeTEA, Cfg: func(c Config) Config { c.NoMasks = true; return c }},
-		{Name: "nomem", Mode: ModeTEA, Cfg: func(c Config) Config { c.NoMem = true; return c }},
-		{Name: "runahead", Mode: ModeBranchRunahead, Cfg: id},
+		{Name: "tea", Mode: ModeTEA},
+		{Name: "onlyloops", Mode: ModeTEA, Set: []string{"companion.tea.only_loops=true"}},
+		{Name: "nomasks", Mode: ModeTEA, Set: []string{"companion.tea.no_masks=true"}},
+		{Name: "nomem", Mode: ModeTEA, Set: []string{"companion.tea.no_mem=true"}},
+		{Name: "runahead", Mode: ModeBranchRunahead},
 	}
 }
 
@@ -224,7 +224,7 @@ func fig10(ctx context.Context, o ExpOptions) (*Report, error) {
 	jobs := make([]Job, 0, len(fcs)*len(o.Workloads))
 	for _, fc := range fcs {
 		for _, name := range o.Workloads {
-			jobs = append(jobs, o.job(name, fc.Cfg(o.cfg(fc.Mode))))
+			jobs = append(jobs, o.job(name, o.cfg(fc.Mode).patched(fc.Set...)))
 		}
 	}
 	res, err := o.mapJobs(ctx, jobs)
@@ -260,8 +260,7 @@ func table3(ctx context.Context, o ExpOptions) (*Report, error) {
 // disabled, isolating the data-prefetch side effect (paper: +1.2% overall).
 func prefetchOnly(ctx context.Context, o ExpOptions) (*Report, error) {
 	return speedupExperiment(ctx, o, titlePrefetchOnly, ModeTEA, func(c Config) Config {
-		c.DisableEarlyFlush = true
-		return c
+		return c.patched("companion.tea.disable_early_flush=true")
 	})
 }
 

@@ -293,9 +293,9 @@ func (c *Coordinator) spawnProc(id int, journal string) (*Proc, error) {
 
 // RunFunc returns a tea.RunFunc backed by this fabric, for tea.WithRunFunc
 // or serve.Config.RunFunc. Non-memoizable configs (telemetry, co-sim,
-// paranoia, fast-path ablations — anything that cannot cross the wire) and
-// every cell after pool collapse run through fallback (nil = tea.RunContext)
-// in-process.
+// paranoia, pipeline reference paths — anything that cannot cross the
+// wire) and every cell after pool collapse run through fallback
+// (nil = tea.RunContext) in-process.
 func (c *Coordinator) RunFunc(fallback tea.RunFunc) tea.RunFunc {
 	if fallback == nil {
 		fallback = tea.RunContext
@@ -546,6 +546,12 @@ func (c *Coordinator) reader(w *worker) {
 			switch {
 			case f.Err != "":
 				c.deliver(cl, outcome{err: fmt.Errorf("fabric worker %d: %s", w.id, f.Err)})
+			case f.Res != nil && f.Res.SpecHash != cl.key.spec:
+				// A worker built against another wire format drops the
+				// fields it does not know and simulates another machine.
+				c.deliver(cl, outcome{err: fmt.Errorf(
+					"fabric worker %d: result for machine %s, cell asked for %s (stale teaworker?)",
+					w.id, f.Res.SpecHash, cl.key.spec)})
 			case f.Res != nil:
 				c.deliver(cl, outcome{res: *f.Res})
 			default:

@@ -150,11 +150,16 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	}
 	cfgs := []tea.Config{
 		{Mode: tea.ModeBaseline, MaxInstructions: 1000, Scale: 1},
-		{Mode: tea.ModeTEA, MaxInstructions: 5000, Scale: 2, OnlyLoops: true, NoMasks: true},
-		{Mode: tea.ModeTEA, NoMem: true, DisableEarlyFlush: true, MaxInstructions: 100},
+		{Mode: tea.ModeTEA, MaxInstructions: 5000, Scale: 2,
+			Set: []string{"companion.tea.only_loops=true", "companion.tea.no_masks=true"}},
+		{Mode: tea.ModeTEA, MaxInstructions: 100,
+			Set: []string{"companion.tea.no_mem=true", "companion.tea.disable_early_flush=true"}},
 		{Mode: tea.ModeWide16, MaxInstructions: 1000, Scale: 1},
 		{Mode: tea.ModeTEABigEngine, MaxInstructions: 1000},
-		{Mode: tea.ModeTEA, BlockCacheEntries: 128, FillBufferSize: 256, H2PDecayPeriod: 10_000, MaxLeadBlocks: 4, FetchQueueSize: 64},
+		{Mode: tea.ModeTEA, Set: []string{
+			"companion.tea.block_cache_sets=16", "companion.tea.fill_buf_size=256",
+			"companion.tea.h2p_decay_period=10000", "companion.tea.max_lead_blocks=4",
+			"frontend.fetch_queue_size=64"}},
 		{Mode: tea.ModeTEA, Set: []string{"companion.tea.fill_buf_size=1024"}},
 		{Mode: tea.ModeBaseline, Spec: &custom, MaxInstructions: 2000},
 	}
@@ -292,6 +297,39 @@ func TestTornJournalWriteRequeues(t *testing.T) {
 	// once after requeue. Nothing else re-ran.
 	if n := runs.Load(); n != int64(len(jobs))+1 {
 		t.Errorf("worker simulations = %d, want %d (one re-run of the torn cell)", n, len(jobs)+1)
+	}
+}
+
+// TestWrongMachineResultRefused asserts the coordinator refuses a result
+// whose spec hash is not the cell's: a stale worker that drops wire fields
+// it does not know simulates another machine, and its numbers must not be
+// reported under this cell's name.
+func TestWrongMachineResultRefused(t *testing.T) {
+	const stale = "00000000deadbeef"
+	pool := &inProc{
+		runFor: func(int, func()) tea.RunFunc {
+			return func(ctx context.Context, w string, cfg tea.Config) (tea.Result, error) {
+				res, err := stubRun(ctx, w, cfg)
+				res.SpecHash = stale
+				return res, err
+			}
+		},
+	}
+	c := newTestFabric(t, pool, nil)
+	cfg := tea.Config{Mode: tea.ModeTEA, MaxInstructions: 1000, Scale: 1,
+		Set: []string{"companion.tea.only_loops=true"}}
+	fp, err := cfg.SpecFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunFunc(stubRun)(context.Background(), "bfs", cfg)
+	if err == nil {
+		t.Fatalf("wrong-machine result delivered: %+v", res)
+	}
+	for _, hash := range []string{stale, fmt.Sprintf("%016x", fp)} {
+		if !strings.Contains(err.Error(), hash) {
+			t.Errorf("error %q does not name hash %s", err, hash)
+		}
 	}
 }
 

@@ -5,20 +5,22 @@ import (
 	"reflect"
 	"testing"
 
+	"teasim/internal/pipeline"
 	"teasim/tea"
 )
 
 // fastPathToggles enumerates the simulator-speed fast paths covered by the
-// bit-identity contract, as functions that disable one path on a config.
-// Every new bit-identical optimization lever must be added here.
+// bit-identity contract, as functions that disable one path on a pipeline
+// configuration. Every new bit-identical optimization lever must be added
+// here.
 var fastPathToggles = []struct {
 	name    string
-	disable func(*tea.Config)
+	disable func(*pipeline.Config)
 }{
-	{"block_cache", func(c *tea.Config) { c.DisableBlockCache = true }},
-	{"bitset_sched", func(c *tea.Config) { c.DisableBitsetSched = true }},
-	{"split_ready", func(c *tea.Config) { c.DisableSplitReady = true }},
-	{"hist_rewind", func(c *tea.Config) { c.DisableHistRewind = true }},
+	{"block_cache", func(p *pipeline.Config) { p.NoBlockCache = true }},
+	{"bitset_sched", func(p *pipeline.Config) { p.NoBitsetSched = true }},
+	{"split_ready", func(p *pipeline.Config) { p.NoSplitReady = true }},
+	{"hist_rewind", func(p *pipeline.Config) { p.NoHistRewind = true }},
 }
 
 // TestFastPathEquivalence is the fast-path bit-identity contract (DESIGN.md
@@ -91,17 +93,15 @@ func checkFastPathEquivalence(t *testing.T, name string, cfg tea.Config) {
 		}
 	}
 	// All reference paths at once.
-	all := cfg
-	for _, tog := range fastPathToggles {
-		tog.disable(&all)
-	}
-	check("all fast paths off", all)
+	check("all fast paths off", tea.WithPipe(cfg, func(p *pipeline.Config) {
+		for _, tog := range fastPathToggles {
+			tog.disable(p)
+		}
+	}))
 	// The paths are also independent: each fast path disabled alone must
 	// match too.
 	for _, tog := range fastPathToggles {
-		one := cfg
-		tog.disable(&one)
-		check(fmt.Sprintf("only %s disabled", tog.name), one)
+		check(fmt.Sprintf("only %s disabled", tog.name), tea.WithPipe(cfg, tog.disable))
 	}
 }
 

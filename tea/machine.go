@@ -2,6 +2,7 @@ package tea
 
 import (
 	"fmt"
+	"slices"
 
 	"teasim/internal/bpred"
 	"teasim/internal/mem"
@@ -10,11 +11,12 @@ import (
 )
 
 // ResolvedSpec resolves the machine point this configuration simulates:
-// Config.Spec (or, when nil, the Mode's preset), with the ablation switches,
-// structure-size overrides, and Set patches applied on top — in that order —
-// then validated. The result is what RunContext builds the simulator from
-// and what SpecFingerprint hashes, so two configs resolving to equal specs
-// simulate identical machines.
+// Config.Spec (or, when nil, the Mode's preset), then the Set patches in
+// order, then validation. The result is what RunContext builds the
+// simulator from and what SpecFingerprint hashes, so two configs resolving
+// to equal specs simulate identical machines. A TEA patch on a TEA-less
+// machine fails ("companion.tea is not populated") rather than reporting
+// the unpatched machine's numbers under the patch's name.
 func (c Config) ResolvedSpec() (spec.MachineSpec, error) {
 	var s spec.MachineSpec
 	if c.Spec != nil {
@@ -25,54 +27,22 @@ func (c Config) ResolvedSpec() (spec.MachineSpec, error) {
 			return spec.MachineSpec{}, err
 		}
 	}
-
-	// Ablations and TEA structure-size overrides need a TEA section to land
-	// on; silently ignoring them on a TEA-less machine would report the
-	// un-ablated machine's numbers under an ablation's name.
-	t := s.Companion.TEA
-	if t == nil {
-		if c.OnlyLoops || c.NoMasks || c.NoMem || c.DisableEarlyFlush {
-			return spec.MachineSpec{}, fmt.Errorf(
-				"tea: ablation switches require a TEA companion (machine %q has companion %q)",
-				c.machineName(), s.Companion.Kind)
-		}
-		if c.BlockCacheEntries > 0 || c.FillBufferSize > 0 || c.H2PDecayPeriod > 0 || c.MaxLeadBlocks > 0 {
-			return spec.MachineSpec{}, fmt.Errorf(
-				"tea: TEA structure-size overrides require a TEA companion (machine %q has companion %q)",
-				c.machineName(), s.Companion.Kind)
-		}
-	} else {
-		t.OnlyLoops = t.OnlyLoops || c.OnlyLoops
-		t.NoMasks = t.NoMasks || c.NoMasks
-		t.NoMem = t.NoMem || c.NoMem
-		t.DisableEarlyFlush = t.DisableEarlyFlush || c.DisableEarlyFlush
-		if c.BlockCacheEntries > 0 {
-			t.SetBlockCacheEntries(c.BlockCacheEntries)
-		}
-		if c.FillBufferSize > 0 {
-			t.FillBufSize = c.FillBufferSize
-		}
-		if c.H2PDecayPeriod > 0 {
-			t.H2PDecayPeriod = c.H2PDecayPeriod
-		}
-		if c.MaxLeadBlocks > 0 {
-			t.MaxLeadBlocks = c.MaxLeadBlocks
-		}
-	}
-	if c.FetchQueueSize > 0 {
-		s.Frontend.FetchQueueSize = c.FetchQueueSize
-	}
-
 	for _, patch := range c.Set {
 		if err := s.Set(patch); err != nil {
 			return spec.MachineSpec{}, fmt.Errorf("tea: machine %q: %w", c.machineName(), err)
 		}
 	}
-
 	if err := s.Validate(); err != nil {
 		return spec.MachineSpec{}, fmt.Errorf("tea: machine %q: %w", c.machineName(), err)
 	}
 	return s, nil
+}
+
+// patched returns c with patches appended to a copy of its Set, so a Set
+// shared with the caller (an experiment's -quick patch) is never written.
+func (c Config) patched(patches ...string) Config {
+	c.Set = slices.Concat(c.Set, patches)
+	return c
 }
 
 // SpecFingerprint returns the resolved spec's canonical fingerprint — the

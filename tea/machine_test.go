@@ -2,8 +2,8 @@ package tea
 
 // Machine-spec resolution tests: the converter contract that presets carry
 // exactly the literals the mode switches used to, and the resolution-order
-// rules of Config.ResolvedSpec. Real-run equivalence (preset spec vs mode,
-// patch vs override) lives in spec_equivalence_test.go.
+// rules of Config.ResolvedSpec. Real-run equivalence (preset spec vs mode)
+// lives in spec_equivalence_test.go.
 
 import (
 	"reflect"
@@ -106,52 +106,60 @@ func TestModePresetRegistry(t *testing.T) {
 }
 
 // TestResolvedSpecOrder asserts the resolution order: explicit spec (or
-// preset) → ablations → size overrides → Set patches, with patches winning.
+// preset) → Set patches in order, with a later patch winning.
 func TestResolvedSpecOrder(t *testing.T) {
 	cfg := Config{
-		Mode:           ModeTEA,
-		OnlyLoops:      true,
-		FillBufferSize: 256,
-		Set:            []string{"companion.tea.fill_buf_size=1024"},
+		Mode: ModeTEA,
+		Set: []string{
+			"companion.tea.only_loops=true",
+			"companion.tea.fill_buf_size=256",
+			"companion.tea.fill_buf_size=1024",
+		},
 	}
 	s, err := cfg.ResolvedSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Companion.TEA.OnlyLoops {
-		t.Error("ablation switch did not reach the resolved spec")
+		t.Error("ablation patch did not reach the resolved spec")
 	}
 	if s.Companion.TEA.FillBufSize != 1024 {
-		t.Errorf("fill_buf_size = %d; the -set patch must win over the override field",
-			s.Companion.TEA.FillBufSize)
+		t.Errorf("fill_buf_size = %d; the later patch must win", s.Companion.TEA.FillBufSize)
 	}
 
-	// BlockCacheEntries rounds to geometry exactly as the old mode switch.
-	cfg = Config{Mode: ModeTEA, BlockCacheEntries: 1000}
+	// A patch applies on top of an explicit spec, not the Mode's preset.
+	teaSpec, err := ModeTEA.Preset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = Config{Mode: ModeBaseline, Spec: &teaSpec, Set: []string{"companion.tea.no_mem=true"}}
 	if s, err = cfg.ResolvedSpec(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Companion.TEA.BlockCacheSets != 128 {
-		t.Errorf("BlockCacheEntries=1000 resolved to %d sets, want 128", s.Companion.TEA.BlockCacheSets)
+	if !s.Companion.TEA.NoMem {
+		t.Error("patch on an explicit spec did not reach the resolved spec")
+	}
+	if teaSpec.Companion.TEA.NoMem {
+		t.Error("resolution patched the caller's spec instead of a clone")
 	}
 }
 
 // TestResolvedSpecRejectsCompanionOverridesOnBaseline asserts TEA-only
-// knobs error on TEA-less machines instead of being silently dropped.
+// patches error on TEA-less machines instead of being silently dropped.
 func TestResolvedSpecRejectsCompanionOverridesOnBaseline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"ablation", Config{Mode: ModeBaseline, OnlyLoops: true}},
-		{"size override", Config{Mode: ModeBaseline, FillBufferSize: 256}},
-		{"wide16 ablation", Config{Mode: ModeWide16, NoMem: true}},
-		{"runahead tea override", Config{Mode: ModeBranchRunahead, BlockCacheEntries: 64}},
+		{"ablation", Config{Mode: ModeBaseline, Set: []string{"companion.tea.only_loops=true"}}},
+		{"size override", Config{Mode: ModeBaseline, Set: []string{"companion.tea.fill_buf_size=256"}}},
+		{"wide16 ablation", Config{Mode: ModeWide16, Set: []string{"companion.tea.no_mem=true"}}},
+		{"runahead tea override", Config{Mode: ModeBranchRunahead, Set: []string{"companion.tea.block_cache_sets=8"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := tc.cfg.ResolvedSpec()
-			if err == nil || !strings.Contains(err.Error(), "require a TEA companion") {
-				t.Fatalf("ResolvedSpec = %v, want a TEA-companion-required error", err)
+			if err == nil || !strings.Contains(err.Error(), "companion.tea is not populated") {
+				t.Fatalf("ResolvedSpec = %v, want a companion.tea-not-populated error", err)
 			}
 			// And the run itself fails the same way.
 			if _, err := Run("bfs", tc.cfg); err == nil {
@@ -168,8 +176,8 @@ func TestResolvedSpecRejectsCompanionOverridesOnBaseline(t *testing.T) {
 }
 
 // TestSpecFingerprintEquivalences asserts the identities the memo cache
-// relies on: override fields, their patch forms, and hand-edited specs all
-// fingerprint identically when they describe the same machine.
+// relies on: patches and hand-edited specs fingerprint identically when they
+// describe the same machine.
 func TestSpecFingerprintEquivalences(t *testing.T) {
 	fp := func(c Config) uint64 {
 		t.Helper()
@@ -181,15 +189,11 @@ func TestSpecFingerprintEquivalences(t *testing.T) {
 	}
 
 	plain := fp(Config{Mode: ModeTEA})
-	if redundant := fp(Config{Mode: ModeTEA, FillBufferSize: 512}); redundant != plain {
-		t.Error("override set to the preset value changed the fingerprint")
+	if redundant := fp(Config{Mode: ModeTEA, Set: []string{"companion.tea.fill_buf_size=512"}}); redundant != plain {
+		t.Error("patch to the preset value changed the fingerprint")
 	}
-	override := fp(Config{Mode: ModeTEA, FillBufferSize: 1024})
 	patched := fp(Config{Mode: ModeTEA, Set: []string{"companion.tea.fill_buf_size=1024"}})
-	if override != patched {
-		t.Error("override field and its -set patch fingerprint differently")
-	}
-	if override == plain {
+	if patched == plain {
 		t.Error("changing the fill buffer did not change the fingerprint")
 	}
 
@@ -198,12 +202,33 @@ func TestSpecFingerprintEquivalences(t *testing.T) {
 		t.Fatal(err)
 	}
 	teaSpec.Companion.TEA.FillBufSize = 1024
-	if explicit := fp(Config{Spec: &teaSpec}); explicit != override {
-		t.Error("hand-edited spec and override field fingerprint differently")
+	if explicit := fp(Config{Spec: &teaSpec}); explicit != patched {
+		t.Error("hand-edited spec and its -set patch fingerprint differently")
 	}
 
-	// Behavioral knobs (CoSim, idle skip, telemetry) are not machine state.
+	// Behavioral knobs (CoSim, reference paths, telemetry) are not machine
+	// state.
 	if cosim := fp(Config{Mode: ModeTEA, CoSim: true}); cosim != plain {
 		t.Error("CoSim changed the machine fingerprint")
+	}
+	noSkip := Config{Mode: ModeTEA, pipe: func(p *pipeline.Config) { p.NoIdleSkip = true }}
+	if fp(noSkip) != plain {
+		t.Error("a pipeline reference path changed the machine fingerprint")
+	}
+}
+
+// TestPatchedCopiesSet asserts patched never writes into the caller's Set
+// backing array: two cells patched from one shared Set keep their own
+// patches.
+func TestPatchedCopiesSet(t *testing.T) {
+	shared := make([]string, 1, 4)
+	shared[0] = "memory.model=quick"
+	a := Config{Set: shared}.patched("companion.tea.no_mem=true")
+	b := Config{Set: shared}.patched("companion.tea.no_masks=true")
+	if want := []string{"memory.model=quick", "companion.tea.no_mem=true"}; !reflect.DeepEqual(a.Set, want) {
+		t.Errorf("a.Set = %q, want %q", a.Set, want)
+	}
+	if want := []string{"memory.model=quick", "companion.tea.no_masks=true"}; !reflect.DeepEqual(b.Set, want) {
+		t.Errorf("b.Set = %q, want %q", b.Set, want)
 	}
 }

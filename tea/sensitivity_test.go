@@ -3,6 +3,8 @@ package tea
 import (
 	"context"
 	"testing"
+
+	"teasim/tea/spec"
 )
 
 func TestSensitivitySweep(t *testing.T) {
@@ -31,9 +33,9 @@ func TestSensitivityUnknownParam(t *testing.T) {
 }
 
 // TestSensitivityPatchEquivalence asserts the patch-based sensitivity sweep
-// reproduces the Fill-Buffer and Block-Cache curves of the override-field
-// form exactly, and that the engine's fingerprint memo simulates each
-// workload's baseline exactly once across both sweeps.
+// reproduces the Fill-Buffer and Block-Cache curves of hand-edited TEA specs
+// exactly, and that the engine's fingerprint memo simulates each workload's
+// baseline exactly once across both sweeps.
 func TestSensitivityPatchEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-simulation sweep; skipped in -short mode")
@@ -44,12 +46,12 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 	opts := ExpOptions{MaxInstructions: budget, Scale: 1, Workloads: workloads, Engine: engine}
 
 	sweeps := []struct {
-		param    SensParam
-		values   []int
-		override func(*Config, int)
+		param  SensParam
+		values []int
+		edit   func(*spec.TEA, int)
 	}{
-		{SensFillBuffer, []int{256, 512, 1024}, func(c *Config, v int) { c.FillBufferSize = v }},
-		{SensBlockCache, []int{256, 512, 1024}, func(c *Config, v int) { c.BlockCacheEntries = v }},
+		{SensFillBuffer, []int{256, 512, 1024}, func(t *spec.TEA, v int) { t.FillBufSize = v }},
+		{SensBlockCache, []int{256, 512, 1024}, (*spec.TEA).SetBlockCacheEntries},
 	}
 	for _, sw := range sweeps {
 		rep, err := sensitivity(context.Background(), sw.param, sw.values, opts)
@@ -64,9 +66,12 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range sw.values {
-				cfg := Config{Mode: ModeTEA, MaxInstructions: budget, Scale: 1}
-				sw.override(&cfg, v)
-				res, err := Run(name, cfg)
+				s, err := ModeTEA.Preset()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sw.edit(s.Companion.TEA, v)
+				res, err := Run(name, Config{Spec: &s, MaxInstructions: budget, Scale: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +80,7 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 				wantSpeedup := float64(base.Cycles) / float64(res.Cycles)
 				if row.Workload != name || row.Value != v ||
 					row.Speedup != wantSpeedup || row.Coverage != res.Coverage || row.Accuracy != res.Accuracy {
-					t.Errorf("%s %s@%d: patch row %+v diverges from override run (speedup %v, cov %v, acc %v)",
+					t.Errorf("%s %s@%d: patch row %+v diverges from the hand-edited spec's run (speedup %v, cov %v, acc %v)",
 						sw.param, name, v, row, wantSpeedup, res.Coverage, res.Accuracy)
 				}
 			}
@@ -95,5 +100,20 @@ func TestSensitivityPatchEquivalence(t *testing.T) {
 	// distinct machine points: 4 hits.
 	if wantHits := 2 * len(workloads); stats.Hits != wantHits {
 		t.Errorf("memo served %d hits, want %d", stats.Hits, wantHits)
+	}
+}
+
+// TestSensParamPatch pins the Block Cache sweep's conversion from entries
+// to the spec's geometry: whole power-of-two sets at the preset's 8 ways.
+func TestSensParamPatch(t *testing.T) {
+	for value, want := range map[int]string{
+		1000: "companion.tea.block_cache_sets=128",
+		512:  "companion.tea.block_cache_sets=64",
+		1:    "companion.tea.block_cache_sets=1",
+	} {
+		got, err := SensBlockCache.Patch(value)
+		if err != nil || got != want {
+			t.Errorf("SensBlockCache.Patch(%d) = %q, %v; want %q", value, got, err, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"teasim/internal/pipeline"
 	"teasim/tea"
 )
 
@@ -41,13 +42,11 @@ func TestIdleSkipEquivalence(t *testing.T) {
 
 func checkSkipEquivalence(t *testing.T, name string, cfg tea.Config) {
 	t.Helper()
-	cfg.DisableIdleSkip = false
 	on, err := tea.Run(name, cfg)
 	if err != nil {
 		t.Fatalf("skip on: %v", err)
 	}
-	cfg.DisableIdleSkip = true
-	off, err := tea.Run(name, cfg)
+	off, err := tea.Run(name, tea.WithPipe(cfg, func(p *pipeline.Config) { p.NoIdleSkip = true }))
 	if err != nil {
 		t.Fatalf("skip off: %v", err)
 	}

@@ -10,8 +10,7 @@
 // sensitivity study is therefore a data change, not a code change.
 //
 // Resolution order for one run (see tea.Config): preset (or an explicit
-// spec) → ablation switches → structure-size overrides → -set patches, then
-// Validate. The resolved spec's Fingerprint keys experiment memoization and
+// spec) → -set patches in order, then Validate. The resolved spec's Fingerprint keys experiment memoization and
 // stamps results for provenance.
 package spec
 

@@ -43,8 +43,9 @@ type Config struct {
 	// reuse one spec across runs.
 	Spec *spec.MachineSpec
 	// Set holds dotted-path spec patches ("section.field=value", see
-	// spec.MachineSpec.Set) applied after the ablation and structure-size
-	// overrides below, in order.
+	// spec.MachineSpec.Set), applied in order. The paper's ablations and
+	// structure sizes are patches like any other field:
+	// "companion.tea.only_loops=true", "frontend.fetch_queue_size=64".
 	Set []string
 
 	// MaxInstructions bounds the simulated region (0 = run to completion).
@@ -55,51 +56,6 @@ type Config struct {
 	// CoSim verifies every retired instruction against the golden
 	// functional model (slower; on by default in tests).
 	CoSim bool
-	// DisableIdleSkip turns off the pipeline's idle-cycle fast-forward
-	// (pipeline.Config.NoIdleSkip), ticking every cycle individually.
-	// Results are bit-identical either way — skipping is cycle-exact — so
-	// this exists for debugging and the skip equivalence test.
-	DisableIdleSkip bool
-	// DisableBlockCache turns off the pipeline's decoded-block uop cache
-	// (pipeline.Config.NoBlockCache): the BP walks instructions one at a
-	// time and fetch re-decodes every uop. Results are bit-identical either
-	// way (the fast-path equivalence test pins this); for debugging and
-	// that test.
-	DisableBlockCache bool
-	// DisableBitsetSched turns off the pipeline's bitmap scheduler
-	// (pipeline.Config.NoBitsetSched), falling back to the pointer/heap
-	// reference scheduler. Bit-identical either way; for debugging and the
-	// fast-path equivalence test.
-	DisableBitsetSched bool
-	// DisableSplitReady turns off the bitset scheduler's split main/companion
-	// ready lists (pipeline.Config.NoSplitReady), filtering a single shared
-	// ready set at select instead. Bit-identical either way; for debugging
-	// and the fast-path equivalence test. No effect when the bitset scheduler
-	// is itself disabled.
-	DisableSplitReady bool
-	// DisableHistRewind turns off invertible folded-history recovery
-	// (pipeline.Config.NoHistRewind), falling back to per-branch history
-	// checkpoint copies. Bit-identical either way (pinned by
-	// bpred.TestHistoryRewindEquivalence and the fast-path equivalence test);
-	// for debugging and those tests.
-	DisableHistRewind bool
-
-	// Fig. 10 ablation switches — spec patches on the companion's TEA
-	// section (error on a TEA-less machine).
-	OnlyLoops         bool // loop-confined chains ("only loops")
-	NoMasks           bool // no mask combining across control flows
-	NoMem             bool // no memory dependencies in the walk
-	DisableEarlyFlush bool // precompute but never flush (§V-B prefetch-only)
-
-	// Structure-size overrides for the paper's sensitivity studies
-	// (0 = keep the spec's value) — shorthand spec patches. See §IV-B (H2P
-	// decrement period, Block Cache capacity), §IV-C (Fill Buffer size), and
-	// §III-B (fetch-queue-bounded run-ahead distance).
-	BlockCacheEntries int    // Block Cache data entries (default 512)
-	FillBufferSize    int    // Fill Buffer uops (default 512)
-	H2PDecayPeriod    uint64 // instructions between H2P decrements (default 50k)
-	MaxLeadBlocks     int    // shadow fetch queue depth (default 2)
-	FetchQueueSize    int    // main fetch queue entries (default 128)
 
 	// Observability (see DESIGN.md "Telemetry"). These fields are purely
 	// observational: a run with telemetry attached retires the same
@@ -133,6 +89,12 @@ type Config struct {
 	// The engine's hang watchdog (JobPolicy.HangTimeout) installs its own;
 	// set this only when driving RunContext directly.
 	Heartbeat *telemetry.Heartbeat
+
+	// pipe, when non-nil, edits the pipeline configuration after the spec
+	// is converted. Tests use it to switch a bit-identical fast path off
+	// (pipeline.Config.NoIdleSkip, NoBlockCache, ...) and compare against
+	// its reference path.
+	pipe func(*pipeline.Config)
 }
 
 // Observational reports whether the run carries observation-only
@@ -147,14 +109,12 @@ func (c Config) Observational() bool {
 // Memoizable reports whether an Engine may serve this run from its result
 // cache: the run must not be observational (the caller wants the
 // observation, not just the numbers), must not co-simulate or check
-// invariants (the caller wants the checking), and must not disable a
-// bit-identical fast path (the point of such a run is exercising the
-// reference path). Memoizable runs are keyed by (workload, mode, spec
-// fingerprint, budget, scale) — see Engine.
+// invariants (the caller wants the checking), and must not edit the
+// pipeline configuration (the point of such a run is exercising a reference
+// path). Memoizable runs are keyed by (workload, mode, spec fingerprint,
+// budget, scale) — see Engine.
 func (c Config) Memoizable() bool {
-	return !c.Observational() && !c.CoSim && !c.DisableIdleSkip &&
-		!c.DisableBlockCache && !c.DisableBitsetSched &&
-		!c.DisableSplitReady && !c.DisableHistRewind && !c.Paranoia
+	return !c.Observational() && !c.CoSim && !c.Paranoia && c.pipe == nil
 }
 
 // Result reports one run's performance and precomputation metrics. It
@@ -284,15 +244,13 @@ func RunContext(ctx context.Context, workload string, cfg Config) (Result, error
 
 	pcfg := pipelineConfig(&machine)
 	pcfg.CoSim = cfg.CoSim
-	pcfg.NoIdleSkip = cfg.DisableIdleSkip
-	pcfg.NoBlockCache = cfg.DisableBlockCache
-	pcfg.NoBitsetSched = cfg.DisableBitsetSched
-	pcfg.NoSplitReady = cfg.DisableSplitReady
-	pcfg.NoHistRewind = cfg.DisableHistRewind
 	pcfg.MaxInstructions = cfg.MaxInstructions
 	pcfg.MaxCycles = 400_000_000
 	pcfg.Paranoia = cfg.Paranoia
 	pcfg.Heartbeat = cfg.Heartbeat
+	if cfg.pipe != nil {
+		cfg.pipe(&pcfg)
+	}
 
 	// Telemetry: an interval-collecting ring and/or a JSONL event stream.
 	var ring *telemetry.RingSink

@@ -98,7 +98,7 @@ func TestSpeedupHelper(t *testing.T) {
 
 func TestAblationConfigsRun(t *testing.T) {
 	for _, fc := range tea.Fig10Configs() {
-		cfg := fc.Cfg(tea.Config{Mode: fc.Mode, Scale: 0, CoSim: true})
+		cfg := tea.Config{Mode: fc.Mode, Set: fc.Set, Scale: 0, CoSim: true}
 		if _, err := tea.Run("tc", cfg); err != nil {
 			t.Fatalf("%s: %v", fc.Name, err)
 		}
@@ -115,7 +115,7 @@ func TestStructureOverridesApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, err := tea.Run("gcc", tea.Config{Mode: tea.ModeTEA, Scale: 1,
-		MaxInstructions: 150_000, BlockCacheEntries: 8})
+		MaxInstructions: 150_000, Set: []string{"companion.tea.block_cache_sets=1"}}) // 8 entries
 	if err != nil {
 		t.Fatal(err)
 	}
