@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"reflect"
 	"testing"
 
 	"teasim/internal/isa"
@@ -48,39 +47,6 @@ func TestProgramsWellFormed(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBuildDeterministic: building the same kernel twice yields identical
-// code and data — experiments depend on run-to-run reproducibility.
-func TestBuildDeterministic(t *testing.T) {
-	for _, w := range All() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			a, b := w.Build(1), w.Build(1)
-			if !reflect.DeepEqual(a.Code, b.Code) {
-				t.Fatal("code differs between builds")
-			}
-			if !reflect.DeepEqual(a.Data, b.Data) {
-				t.Fatal("data differs between builds")
-			}
-			if a.Entry != b.Entry || a.CodeBase != b.CodeBase {
-				t.Fatal("entry/base differ between builds")
-			}
-		})
-	}
-}
-
-// TestExpectedDeterministic: the native model must be as reproducible as the
-// µISA program it validates.
-func TestExpectedDeterministic(t *testing.T) {
-	for _, w := range All() {
-		if !reflect.DeepEqual(w.Expected(1), w.Expected(1)) {
-			t.Fatalf("%s: Expected(1) not deterministic", w.Name)
-		}
-		if len(w.Expected(0)) == 0 {
-			t.Fatalf("%s: no expected results at scale 0", w.Name)
-		}
 	}
 }
 
