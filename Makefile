@@ -33,9 +33,12 @@ tier2:
 
 race: tier2
 
-# Microbenchmark of the pipeline hot path; watch the allocs/kinstr metric.
+# Microbenchmarks: the pipeline hot path (watch the allocs/kinstr metric)
+# and each workload's program construction (BenchmarkBuild/<workload>, the
+# fixed cost of every cold cell; watch allocs/op).
 bench:
 	$(GO) test ./internal/pipeline/ -bench CorePerCycle -benchtime 2s -run XXX
+	$(GO) test ./internal/workloads/ -bench Build -benchtime 20x -run XXX
 
 # Figure/table benchmarks at reduced budgets (see bench_test.go).
 bench-experiments:

@@ -40,7 +40,7 @@ func idx(b *asm.Builder, dst, base, i isa.Reg) {
 func BFS() Workload {
 	build := func(scale int) *isa.Program {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n, d, 0xBF5))
+		g := undirected(n, d, 0xBF5)
 		b := asm.NewBuilder()
 		l := newLayout()
 		offs, nbrs, _ := emitGraph(b, l, g, false)
@@ -113,7 +113,7 @@ func BFS() Workload {
 	}
 	expected := func(scale int) []uint64 {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n, d, 0xBF5))
+		g := undirected(n, d, 0xBF5)
 		dist := nativeBFS(g, 0)
 		var sum, reached uint64
 		for _, dv := range dist {
@@ -154,7 +154,7 @@ func nativeBFS(g *graph, src int) []uint64 {
 func CC() Workload {
 	build := func(scale int) *isa.Program {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n, d, 0xCC7))
+		g := undirected(n, d, 0xCC7)
 		b := asm.NewBuilder()
 		l := newLayout()
 		offs, nbrs, _ := emitGraph(b, l, g, false)
@@ -226,7 +226,7 @@ func CC() Workload {
 	}
 	expected := func(scale int) []uint64 {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n, d, 0xCC7))
+		g := undirected(n, d, 0xCC7)
 		label := make([]uint64, g.n)
 		for i := range label {
 			label[i] = uint64(i)
@@ -549,7 +549,7 @@ func PR() Workload {
 func TC() Workload {
 	build := func(scale int) *isa.Program {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n/2, d, 0x7C7)) // halve n: tc is O(m^1.5)
+		g := undirected(n/2, d, 0x7C7) // halve n: tc is O(m^1.5)
 		b := asm.NewBuilder()
 		l := newLayout()
 		offs, nbrs, _ := emitGraph(b, l, g, false)
@@ -606,7 +606,7 @@ func TC() Workload {
 	}
 	expected := func(scale int) []uint64 {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n/2, d, 0x7C7))
+		g := undirected(n/2, d, 0x7C7)
 		var count uint64
 		for u := 0; u < g.n; u++ {
 			for _, v64 := range g.nbrs[g.offs[u]:g.offs[u+1]] {
@@ -645,7 +645,7 @@ func TC() Workload {
 func BC() Workload {
 	build := func(scale int) *isa.Program {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n, d, 0xBC4))
+		g := undirected(n, d, 0xBC4)
 		b := asm.NewBuilder()
 		l := newLayout()
 		offs, nbrs, _ := emitGraph(b, l, g, false)
@@ -784,7 +784,7 @@ func BC() Workload {
 	}
 	expected := func(scale int) []uint64 {
 		n, d := graphScale(scale)
-		g := undirected(genGraph(n, d, 0xBC4))
+		g := undirected(n, d, 0xBC4)
 		dist := make([]uint64, g.n)
 		sigma := make([]uint64, g.n)
 		delta := make([]float64, g.n)
