@@ -531,30 +531,35 @@ func XZ() Workload {
 // correct-path long-latency loads issue sooner — the paper's "many long
 // latency loads in the shadow of a few H2P branches".
 func NAB() Workload {
-	build := func(scale int) *isa.Program {
-		n := 1 << 17 // 3 MB of coordinates: well beyond the LLC
-		pairs := 1 << 16
+	// input is one scale's coordinates and candidate pairs, drawn once for
+	// the program and the native model alike.
+	type input struct {
+		xs, ys, zs      []float64
+		key, iIdx, jIdx []uint64
+	}
+	gen := func(scale int) *input {
+		n, pairs := 1<<17, 1<<16 // 3 MB of coordinates: well beyond the LLC
 		if scale <= 0 {
-			n = 1 << 12
-			pairs = 1 << 12
+			n, pairs = 1<<12, 1<<12
 		}
 		r := newRng(0x4AB)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		zs := make([]float64, n)
+		in := &input{xs: make([]float64, n), ys: make([]float64, n), zs: make([]float64, n),
+			key: make([]uint64, pairs), iIdx: make([]uint64, pairs), jIdx: make([]uint64, pairs)}
 		for i := 0; i < n; i++ {
-			xs[i] = float64(r.intn(1000)) / 10
-			ys[i] = float64(r.intn(1000)) / 10
-			zs[i] = float64(r.intn(1000)) / 10
+			in.xs[i] = float64(r.intn(1000)) / 10
+			in.ys[i] = float64(r.intn(1000)) / 10
+			in.zs[i] = float64(r.intn(1000)) / 10
 		}
-		key := make([]uint64, pairs)
-		iIdx := make([]uint64, pairs)
-		jIdx := make([]uint64, pairs)
 		for k := 0; k < pairs; k++ {
-			key[k] = r.next() & 255
-			iIdx[k] = uint64(r.intn(n))
-			jIdx[k] = uint64(r.intn(n))
+			in.key[k] = r.next() & 255
+			in.iIdx[k] = uint64(r.intn(n))
+			in.jIdx[k] = uint64(r.intn(n))
 		}
+		return in
+	}
+	build := func(scale int) *isa.Program {
+		in := gen(scale)
+		n, pairs := len(in.xs), len(in.key)
 		b := asm.NewBuilder()
 		l := newLayout()
 		xA := l.words(n)
@@ -563,12 +568,12 @@ func NAB() Workload {
 		kA := l.words(pairs)
 		iA := l.words(pairs)
 		jA := l.words(pairs)
-		b.DataF64(xA, xs)
-		b.DataF64(yA, ys)
-		b.DataF64(zA, zs)
-		b.DataU64(kA, key)
-		b.DataU64(iA, iIdx)
-		b.DataU64(jA, jIdx)
+		b.DataF64(xA, in.xs)
+		b.DataF64(yA, in.ys)
+		b.DataF64(zA, in.zs)
+		b.DataU64(kA, in.key)
+		b.DataU64(iA, in.iIdx)
+		b.DataU64(jA, in.jIdx)
 
 		b.Label("main")
 		b.LiU(isa.R1, xA)
@@ -629,39 +634,17 @@ func NAB() Workload {
 		return b.MustBuild()
 	}
 	expected := func(scale int) []uint64 {
-		n := 1 << 17
-		pairs := 1 << 16
-		if scale <= 0 {
-			n = 1 << 12
-			pairs = 1 << 12
-		}
-		r := newRng(0x4AB)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		zs := make([]float64, n)
-		for i := 0; i < n; i++ {
-			xs[i] = float64(r.intn(1000)) / 10
-			ys[i] = float64(r.intn(1000)) / 10
-			zs[i] = float64(r.intn(1000)) / 10
-		}
-		key := make([]uint64, pairs)
-		iIdx := make([]uint64, pairs)
-		jIdx := make([]uint64, pairs)
-		for k := 0; k < pairs; k++ {
-			key[k] = r.next() & 255
-			iIdx[k] = uint64(r.intn(n))
-			jIdx[k] = uint64(r.intn(n))
-		}
+		in := gen(scale)
 		var energy float64
 		var cnt uint64
-		for k := 0; k < pairs; k++ {
-			if int64(key[k]) >= 104 {
+		for k, key := range in.key {
+			if int64(key) >= 104 {
 				continue
 			}
-			i, j := iIdx[k], jIdx[k]
-			dx := xs[j] - xs[i]
-			dy := ys[j] - ys[i]
-			dz := zs[j] - zs[i]
+			i, j := in.iIdx[k], in.jIdx[k]
+			dx := in.xs[j] - in.xs[i]
+			dy := in.ys[j] - in.ys[i]
+			dz := in.zs[j] - in.zs[i]
 			r2 := dx*dx + dy*dy + dz*dz
 			cnt++
 			energy += 1.0 / (1.0 + r2)
